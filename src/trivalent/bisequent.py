@@ -8,7 +8,7 @@ empty lists allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .formula import (
     Compound,
@@ -73,9 +73,6 @@ class Bisequent:
         if slot == "suc2":
             return self.second.suc
         raise ValueError(f"unknown slot {slot!r}")
-
-    def slots(self) -> Mapping[str, tuple[Formula, ...]]:
-        return {s: self.slot(s) for s in SLOTS}
 
     def replace(self, slot: str, formulas: Iterable[Formula]) -> "Bisequent":
         parts = {s: self.slot(s) for s in SLOTS}

@@ -1,5 +1,5 @@
-"""Declarative bisequent rules: catalog, application, verification,
-and synthesis of rules from truth tables.
+"""Bisequent rules: synthesis from truth tables, the per-logic catalog,
+rule application and verification.
 
 A rule is identified by its principal slot and a list of premisses; a
 premiss is a multiset of placements sending immediate subformulas of the
@@ -10,15 +10,15 @@ Verification reduces to a finite check: under falsification each slot
 pins its formulas to a set of values (ant1: 1, suc1: not 1, ant2: not 0,
 suc2: 0), so a rule is sound and invertible exactly when, for every tuple
 of argument values, the principal formula meets its slot constraint iff
-some premiss has all placements satisfied.
+some premiss has all placements satisfied.  The tables therefore
+determine the calculus: ``synthesize_rules`` covers that region of a
+table with premisses, and ``catalog`` builds every logic's rules that way.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Iterable, Mapping
 
 from .bisequent import Bisequent
 from .formula import CONNECTIVES, Compound
@@ -28,7 +28,9 @@ from .logics import (
     TruthTable,
     Value,
     VALUES,
+    _tuples,
     slot_admits,
+    tables,
 )
 
 __all__ = [
@@ -42,13 +44,10 @@ __all__ = [
     "RuleVerdict",
     "apply_rule",
     "catalog",
-    "load_rules",
     "rule_for",
     "synthesize_rules",
     "verify_rule_schema",
 ]
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 
 class CatalogError(ValueError):
@@ -112,133 +111,57 @@ class RuleVerdict:
         return f"counterexample({vals})"
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Catalog
+
 class Catalog:
-    rules: tuple[RuleSchema, ...]
-    axiom_schemata: tuple[AxiomSchema, ...]
+    """A logic's rules and axiom schemata.  Each rule is synthesised from
+    its table on first lookup and shared by every logic using the table."""
+
+    def __init__(self, logic: LogicDef) -> None:
+        self.logic = logic
+        self._rules: dict[tuple[str, str], RuleSchema | None] = {}
 
     def rule_for(self, connective: str, slot: str) -> RuleSchema | None:
-        return self._by_key.get((connective, slot))
+        try:
+            return self._rules[connective, slot]
+        except KeyError:
+            pass
+        rule = None
+        if connective in self.logic.signature:
+            derived = _synthesized(connective, slot)
+            if isinstance(derived, RuleSchema):
+                rule = derived
+        self._rules[connective, slot] = rule
+        return rule
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_by_key",
-            {(r.connective, r.principal_slot): r for r in self.rules},
+    @property
+    def rules(self) -> tuple[RuleSchema, ...]:
+        found = (
+            self.rule_for(cid, slot)
+            for cid in self.logic.connectives
+            for slot in SLOTS
+        )
+        return tuple(rule for rule in found if rule is not None)
+
+    @property
+    def axiom_schemata(self) -> tuple[AxiomSchema, ...]:
+        return tuple(
+            AxiomSchema(cid, slot) for cid, slot in self.logic.extra_axiom_schemata
         )
 
 
-# ---------------------------------------------------------------------------
-# Catalog file loading
-
-def _parse_premiss(text: str, rule_name: str) -> PremissSchema:
-    placements = []
-    for token in text.split():
-        try:
-            idx, slot = token.split("@")
-            placement = Placement(slot, int(idx))
-        except ValueError:
-            raise CatalogError(f"rule {rule_name}: bad placement {token!r}")
-        if placement.slot not in SLOTS:
-            raise CatalogError(f"rule {rule_name}: bad slot {placement.slot!r}")
-        placements.append(placement)
-    return PremissSchema(tuple(placements))
-
-
-def load_rules(path: Path) -> tuple[dict[tuple[str, str], RuleSchema], tuple[AxiomSchema, ...]]:
-    """Parse a rule catalog file, resolving shared-structure links."""
-    parsed: dict[str, tuple[str, str, str]] = {}  # name -> (conn, slot, rhs)
-    order: list[str] = []
-    axioms: list[AxiomSchema] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        if parts[0] == "axiom":
-            fields = parts[1].split()
-            if len(fields) != 2 or fields[1] not in SLOTS:
-                raise CatalogError(f"{path.name}:{lineno}: bad axiom line")
-            axioms.append(AxiomSchema(fields[0], fields[1]))
-            continue
-        if parts[0] != "rule" or len(parts) < 2:
-            raise CatalogError(f"{path.name}:{lineno}: unrecognised line")
-        rest = parts[1]
-        for sep in (" : ", " = "):
-            if sep in rest:
-                head, rhs = rest.split(sep, 1)
-                break
-        else:
-            raise CatalogError(f"{path.name}:{lineno}: missing ':' or '='")
-        fields = head.split()
-        if len(fields) != 3 or fields[2] not in SLOTS:
-            raise CatalogError(f"{path.name}:{lineno}: bad rule header")
-        name = fields[0]
-        if name in parsed:
-            raise CatalogError(f"{path.name}:{lineno}: duplicate rule {name!r}")
-        parsed[name] = (fields[1], fields[2], sep.strip() + rhs)
-        order.append(name)
-
-    rules: dict[str, RuleSchema] = {}
-
-    def build(name: str, seen: tuple[str, ...] = ()) -> RuleSchema:
-        if name in rules:
-            return rules[name]
-        if name in seen:
-            raise CatalogError(f"rule {name}: circular '=' reference")
-        conn, slot, rhs = parsed[name]
-        if rhs.startswith("="):
-            target = rhs[1:].strip()
-            if target not in parsed:
-                raise CatalogError(f"rule {name}: unknown reference {target!r}")
-            premisses = build(target, seen + (name,)).premisses
-        else:
-            premisses = tuple(
-                _parse_premiss(p, name) for p in rhs[1:].strip().split("|")
-            )
-        rules[name] = RuleSchema(name, conn, slot, premisses)
-        return rules[name]
-
-    by_key: dict[tuple[str, str], RuleSchema] = {}
-    for name in order:
-        rule = build(name)
-        key = (rule.connective, rule.principal_slot)
-        if key in by_key:
-            raise CatalogError(f"two rules for {key}")
-        by_key[key] = rule
-    return by_key, tuple(axioms)
-
-
 @lru_cache(maxsize=None)
-def _rule_catalog() -> tuple[Mapping[tuple[str, str], RuleSchema], tuple[AxiomSchema, ...]]:
-    return load_rules(_DATA_DIR / "rules.txt")
+def _synthesized(connective: str, slot: str) -> RuleSchema | AxiomSchema:
+    return synthesize_rules(tables()[connective], slot)
 
 
 @lru_cache(maxsize=None)
 def catalog(logic: LogicDef) -> Catalog:
-    """The logic's rules and axiom schemata; every connective must be
-    covered on all four slots by a rule or an axiom schema."""
-    by_key, axioms = _rule_catalog()
-    rules: list[RuleSchema] = []
-    schemata = [
-        AxiomSchema(cid, slot) for cid, slot in logic.extra_axiom_schemata
-    ]
-    declared = {(a.connective, a.slot) for a in axioms}
-    for cid in logic.connectives:
-        for slot in SLOTS:
-            rule = by_key.get((cid, slot))
-            if rule is not None:
-                rules.append(rule)
-            elif (cid, slot) in {(a.connective, a.slot) for a in schemata}:
-                if (cid, slot) not in declared:
-                    raise CatalogError(
-                        f"{cid!r} needs a declared axiom schema at {slot}"
-                    )
-            else:
-                raise CatalogError(
-                    f"incomplete catalog: {cid!r} has no rule for slot {slot}"
-                )
-    return Catalog(tuple(rules), tuple(schemata))
+    """The logic's calculus: every connective is covered on all four slots
+    by a rule synthesised from its table or, where the table never meets
+    the slot constraint, by an axiom schema."""
+    return Catalog(logic)
 
 
 def rule_for(logic: LogicDef, connective: str, slot: str) -> RuleSchema | None:
@@ -291,7 +214,7 @@ def verify_rule_schema(logic: LogicDef, rule: RuleSchema) -> RuleVerdict:
     the rule validity-preserving and invertible at once: a falsifying
     homomorphism of the conclusion falsifies some premiss and conversely."""
     table = logic.table(rule.connective)
-    for args in _arg_tuples(table.arity):
+    for args in _tuples(table.arity):
         lhs = slot_admits(rule.principal_slot, table(*args))
         rhs = any(_premiss_admits(p, args) for p in rule.premisses)
         if lhs != rhs:
@@ -303,14 +226,10 @@ def verify_axiom_schema(logic: LogicDef, schema: AxiomSchema) -> RuleVerdict:
     """An axiom schema is correct iff no argument tuple lets the operation
     meet the slot constraint (the slot's falsification value is never taken)."""
     table = logic.table(schema.connective)
-    for args in _arg_tuples(table.arity):
+    for args in _tuples(table.arity):
         if slot_admits(schema.slot, table(*args)):
             return RuleVerdict(False, args)
     return RuleVerdict(True)
-
-
-def _arg_tuples(arity: int) -> Iterable[tuple[Value, ...]]:
-    return itertools.product(VALUES, repeat=arity)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +247,16 @@ _ARG_CONSTRAINTS: tuple[tuple[tuple[str, ...], frozenset[Value]], ...] = (
 )
 
 
-def _rectangles(arity: int):
-    """Candidate premisses as (placements, cell set), smallest first."""
+def _cell_mask(arity: int, holds) -> int:
+    """Bit i is set iff ``holds`` accepts the i-th argument tuple."""
+    return sum(1 << i for i, args in enumerate(_tuples(arity)) if holds(args))
+
+
+@lru_cache(maxsize=None)
+def _rectangles(arity: int) -> tuple[tuple[tuple[Placement, ...], int], ...]:
+    """Candidate premisses as (placements, cell mask), smallest first."""
     out = []
-    if arity == 1:
-        combos = [(c,) for c in _ARG_CONSTRAINTS]
-    else:
-        combos = list(itertools.product(_ARG_CONSTRAINTS, repeat=2))
-    for combo in combos:
+    for combo in itertools.product(_ARG_CONSTRAINTS, repeat=arity):
         placements = tuple(
             Placement(slot, i)
             for i, (slots, _) in enumerate(combo)
@@ -343,14 +264,13 @@ def _rectangles(arity: int):
         )
         if not placements:
             continue  # a premiss must be nonempty
-        cells = frozenset(
-            args
-            for args in _arg_tuples(arity)
-            if all(args[i] in vs for i, (_, vs) in enumerate(combo))
+        cells = _cell_mask(
+            arity,
+            lambda args: all(args[i] in vs for i, (_, vs) in enumerate(combo)),
         )
         out.append((placements, cells))
     out.sort(key=lambda rc: (len(rc[0]), [(p.slot, p.arg_index) for p in rc[0]]))
-    return out
+    return tuple(out)
 
 
 def synthesize_rules(table: TruthTable, slot: str) -> RuleSchema | AxiomSchema:
@@ -358,22 +278,23 @@ def synthesize_rules(table: TruthTable, slot: str) -> RuleSchema | AxiomSchema:
     satisfying region of the slot constraint with premiss-expressible
     rectangles (an axiom schema when the region is empty).  The cover is
     exact, so the result passes verification by construction; among covers
-    it minimises the premiss count, then the total placement count."""
-    region = frozenset(
-        args for args in _arg_tuples(table.arity) if slot_admits(slot, table(*args))
-    )
+    it minimises the premiss count, then the total placement count, and
+    keeps the first such cover in candidate order."""
+    region = _cell_mask(table.arity, lambda args: slot_admits(slot, table(*args)))
     if not region:
         return AxiomSchema(table.name, slot)
     candidates = [
         (placements, cells)
         for placements, cells in _rectangles(table.arity)
-        if cells and cells <= region
+        if cells and not cells & ~region
     ]
     best_weight: int | None = None
     best_combo = None
-    for k in range(1, len(region) + 1):
+    for k in range(1, region.bit_count() + 1):
         for combo in itertools.combinations(candidates, k):
-            union = frozenset().union(*(cells for _, cells in combo))
+            union = 0
+            for _, cells in combo:
+                union |= cells
             if union != region:
                 continue
             weight = sum(len(p) for p, _ in combo)
@@ -385,4 +306,4 @@ def synthesize_rules(table: TruthTable, slot: str) -> RuleSchema | AxiomSchema:
     if best_combo is None:  # unreachable: singletons always cover
         raise CatalogError(f"no premiss cover for {table.name} at {slot}")
     premisses = tuple(PremissSchema(p) for p, _ in best_combo)
-    return RuleSchema(f"syn:{table.name}.{slot}", table.name, slot, premisses)
+    return RuleSchema(f"{table.name}.{slot}", table.name, slot, premisses)

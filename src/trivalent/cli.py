@@ -15,10 +15,10 @@ from . import calculus, interpolation, prover, semantics
 from .bisequent import parse_bisequent, render_bisequent
 from .formula import ParseError, parse_formula
 from .logics import (
+    _VALUE_BY_SYMBOL,
     SLOTS,
     LogicDef,
     UnknownLogicError,
-    Value,
     available_logics,
     lookup_logic,
 )
@@ -233,12 +233,12 @@ def _cmd_table(args) -> int:
     table = logic.table(args.connective)
     order = ("1", "u", "0")
     if table.arity == 1:
-        lines = [f"{a} : {table.entries[_val(a),].value}" for a in order]
+        lines = [f"{a} : {table(_VALUE_BY_SYMBOL[a]).value}" for a in order]
     else:
         lines = [f"{table.name} | " + "  ".join(order)]
         for a in order:
             row = "  ".join(
-                table.entries[(_val(a), _val(b))].value for b in order
+                table(_VALUE_BY_SYMBOL[a], _VALUE_BY_SYMBOL[b]).value for b in order
             )
             lines.append(f"{a} | {row}")
     payload = {
@@ -250,10 +250,6 @@ def _cmd_table(args) -> int:
     }
     _emit(args, payload, "\n".join(lines))
     return 0
-
-
-def _val(symbol: str) -> Value:
-    return {v.value: v for v in Value}[symbol]
 
 
 def _cmd_list_logics(args) -> int:

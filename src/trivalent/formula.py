@@ -31,7 +31,6 @@ __all__ = [
     "RenderError",
     "UnknownConnectiveError",
     "CONNECTIVES",
-    "arity",
     "atoms",
     "complexity",
     "connectives_of",
@@ -146,10 +145,6 @@ class Compound:
 
 
 Formula = Union[Atom, Constant, Compound]
-
-
-def arity(connective: str) -> int:
-    return CONNECTIVES[connective]
 
 
 def atoms(f: Formula) -> frozenset[str]:

@@ -62,6 +62,9 @@ class LeafAtoms:
 
 
 def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:
+    """The distinct open leaves of the search tree, in order of first
+    occurrence: the tree shares subtrees, and a leaf reached along two
+    paths would otherwise give the interpolant a repeated disjunct."""
     tree = complete_search(logic, root)
     out = []
     for leaf in tree.open_leaves():
@@ -73,7 +76,7 @@ def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:
                 raise InterpolationError("open leaf contains a non-atom")
             sets.append(frozenset(f.name for f in fs))
         out.append(LeafAtoms(*sets))
-    return out
+    return list(dict.fromkeys(out))
 
 
 def combined_leaf_check(

@@ -7,8 +7,8 @@ connective share the table object.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -118,19 +118,12 @@ def _tuples(arity: int) -> Iterable[tuple[Value, ...]]:
 
 @dataclass(frozen=True)
 class LogicDef:
-    """A named logic: connective ids, designated values, constants flag.
-
-    ``extra_axiom_schemata`` lists (connective, slot) pairs for operations
-    that never take the slot's falsification value; bisequents carrying
-    such a formula in that slot are axiomatic.  They are derived from the
-    tables when the registry is built.
-    """
+    """A named logic: connective ids, designated values, constants flag."""
 
     name: str
     connectives: tuple[str, ...]
     designated: frozenset[Value]
     constants_enabled: bool = False
-    extra_axiom_schemata: tuple[tuple[str, str], ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.designated not in (
@@ -153,6 +146,18 @@ class LogicDef:
     def signature(self) -> frozenset[str]:
         return frozenset(self.connectives)
 
+    @cached_property
+    def extra_axiom_schemata(self) -> tuple[tuple[str, str], ...]:
+        """(connective, slot) pairs for operations that never take the
+        slot's falsification value; bisequents carrying such a formula in
+        that slot are axiomatic."""
+        return tuple(
+            (cid, slot)
+            for cid in self.connectives
+            for slot in SLOTS
+            if not any(slot_admits(slot, v) for v in tables()[cid].entries.values())
+        )
+
     def table(self, connective: str) -> TruthTable:
         if connective not in self.signature:
             raise EvaluationError(
@@ -174,7 +179,6 @@ class LogicDef:
             connectives=self.connectives,
             designated=self.designated,
             constants_enabled=True,
-            extra_axiom_schemata=self.extra_axiom_schemata,
         )
 
     def extended(self, extra: Iterable[str], name: str | None = None) -> "LogicDef":
@@ -186,7 +190,6 @@ class LogicDef:
             connectives=conns,
             designated=self.designated,
             constants_enabled=self.constants_enabled,
-            extra_axiom_schemata=_axiom_schemata(conns),
         )
 
 
@@ -243,17 +246,6 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
     return out
 
 
-def _axiom_schemata(connectives: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    """(connective, slot) pairs whose slot constraint no table entry meets."""
-    out = []
-    for cid in connectives:
-        table = tables()[cid]
-        for slot in SLOTS:
-            if not any(slot_admits(slot, v) for v in table.entries.values()):
-                out.append((cid, slot))
-    return tuple(out)
-
-
 def load_logics(path: Path) -> dict[str, LogicDef]:
     """Parse a logic catalog file (requires tables to be loadable)."""
     out: dict[str, LogicDef] = {}
@@ -268,12 +260,8 @@ def load_logics(path: Path) -> dict[str, LogicDef]:
         if missing:
             raise CatalogFileError(f"logic {name!r}: missing {sorted(missing)}")
         designated = frozenset(_VALUE_BY_SYMBOL[s] for s in fields["designated"])
-        conns = fields["connectives"]
         out[name] = LogicDef(
-            name=name,
-            connectives=conns,
-            designated=designated,
-            extra_axiom_schemata=_axiom_schemata(conns),
+            name=name, connectives=fields["connectives"], designated=designated
         )
         name = None
         fields.clear()

@@ -90,11 +90,6 @@ class ProofTree:
     def size(self) -> int:
         return 1 + sum(child.size() for child in self.children)
 
-    def height(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(child.height() for child in self.children)
-
     def to_text(self, signature=None, indent: str = "") -> str:
         tag = f"[{self.rule}]" if self.rule else f"[{self.leaf_status}]"
         lines = [f"{indent}{render_bisequent(self.node, signature)}   {tag}"]
@@ -172,27 +167,34 @@ def complete_search(
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    cat = catalog(logic)
     if memo is None:
         memo = {}
+    return _search(logic, catalog(logic), strategy, memo if use_memo else None, b)
 
-    def search(node: Bisequent) -> ProofTree:
-        if use_memo and node in memo:
-            return memo[node]
-        picked = _select_occurrence(cat, node, strategy)
-        if picked is None:
-            status = "axiomatic" if is_axiomatic(logic, node) else "open"
-            tree = ProofTree(node, None, None, (), status)
-        else:
-            slot, index, rule = picked
-            premisses = apply_rule(rule, node, (slot, index))
-            children = tuple(search(p) for p in premisses)
-            tree = ProofTree(node, rule.name, (slot, index), children, None)
-        if use_memo:
-            memo[node] = tree
-        return tree
 
-    return search(b)
+def _search(
+    logic: LogicDef,
+    cat: Catalog,
+    strategy: str,
+    memo: dict[Bisequent, ProofTree] | None,
+    node: Bisequent,
+) -> ProofTree:
+    # a module-level function rather than a closure over itself, so that no
+    # reference cycle keeps the memo alive after the search returns
+    if memo is not None and node in memo:
+        return memo[node]
+    picked = _select_occurrence(cat, node, strategy)
+    if picked is None:
+        status = "axiomatic" if is_axiomatic(logic, node) else "open"
+        tree = ProofTree(node, None, None, (), status)
+    else:
+        slot, index, rule = picked
+        premisses = apply_rule(rule, node, (slot, index))
+        children = tuple(_search(logic, cat, strategy, memo, p) for p in premisses)
+        tree = ProofTree(node, rule.name, (slot, index), children, None)
+    if memo is not None:
+        memo[node] = tree
+    return tree
 
 
 def countermodel_from_leaf(leaf: Bisequent) -> dict[str, Value]:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from trivalent.formula import Atom, atoms
+from trivalent.bisequent import bisequent
+from trivalent.formula import Atom, Compound, atoms
 from trivalent.interpolation import (
     InterpolationError,
     LeafAtoms,
@@ -17,6 +18,7 @@ from trivalent.interpolation import (
     verify_interpolant,
 )
 from trivalent.logics import lookup_logic
+from trivalent.prover import complete_search
 from trivalent.semantics import matrix_consequence
 
 from conftest import random_formula
@@ -62,6 +64,23 @@ class TestInterpolate:
         phi, psi = I1.parse("p & q"), I1.parse("p | q")
         assert not verify_interpolant(I1, phi, psi, Atom("r"))
         assert not verify_interpolant(I1, phi, psi, I1.parse("q & ~q"))
+
+
+    def test_shared_subtree_gives_no_repeated_disjunct(self):
+        # the left tree reaches the leaf "p, q =>" along two paths
+        phi, psi = I1.parse("(p | q) & (p | q)"), I1.parse("p | q")
+        leaves = complete_search(I1, bisequent(ant1=(phi,))).open_leaves()
+        assert len({id(leaf) for leaf in leaves}) < len(leaves)
+        inter = interpolate(I1, phi, psi)
+        disjuncts, todo = [], [inter]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, Compound) and f.connective == "or_c":
+                todo.extend(f.args)
+            else:
+                disjuncts.append(f)
+        assert len(disjuncts) == len(set(disjuncts)) == 3
+        assert verify_interpolant(I1, phi, psi, inter)
 
 
 class TestCombinedLeafCheck:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -375,3 +376,18 @@ def test_termination_measure_strictly_decreases():
         b = bisequent().add(slot, f).add("ant2", Atom("c"))
         for premiss in apply_rule(rule, b, (slot, 0)):
             assert measure(premiss) < measure(b)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    """A finished search frees its memo by reference counting alone; the
+    cyclic collector has nothing to reclaim."""
+    l3 = lookup_logic("L3")
+    premiss, conclusion = l3.parse("(p -> q) -> r"), l3.parse("~r -> ~(p & ~q)")
+    gc.collect()
+    gc.disable()
+    try:
+        result = prove(l3, "designated_1", (premiss,), conclusion)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not result.proved
