@@ -12,14 +12,11 @@ import random
 from trivalent.formula import CONNECTIVES, Atom, Compound, atoms
 from trivalent.interpolation import (
     NotContingentError,
-    interpolate,
     interpolate_extended,
     verify_interpolant,
 )
 from trivalent.logics import lookup_logic
 from trivalent.semantics import matrix_consequence
-
-EXTENDED = ("K3", "LP", "G3", "G3prime")
 
 
 def random_formula(rng, signature, names, n):
@@ -51,10 +48,7 @@ def main() -> int:
         if not matrix_consequence(logic, (phi,), psi):
             continue
         try:
-            if logic.name in EXTENDED:
-                candidate, host = interpolate_extended(logic, phi, psi)
-            else:
-                candidate, host = interpolate(logic, phi, psi), logic
+            candidate, host = interpolate_extended(logic, phi, psi)
         except NotContingentError:
             continue
         status = "verified" if verify_interpolant(host, phi, psi, candidate) else "BROKEN"

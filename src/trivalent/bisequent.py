@@ -8,7 +8,7 @@ empty lists allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .formula import (
     Compound,
@@ -28,6 +28,7 @@ __all__ = [
     "SLOTS",
     "bisequent",
     "bisequent_atoms",
+    "clashes",
     "is_atomic",
     "is_axiomatic",
     "parse_bisequent",
@@ -115,21 +116,32 @@ def is_atomic(b: Bisequent) -> bool:
     return all(not isinstance(f, Compound) for _, _, f in b.formulas())
 
 
-def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
-    """Axiom test: a shared formula between ant1 and suc2, ant1 and suc1,
-    or ant2 and suc2; plus the constant axioms when constants are enabled
-    and the logic's never-true/never-false connective schemata."""
-    ant1, suc1 = set(b.first.ant), set(b.first.suc)
-    ant2, suc2 = set(b.second.ant), set(b.second.suc)
-    if ant1 & suc2 or ant1 & suc1 or ant2 & suc2:
+_TOP, _BOTTOM, _UNDEF = Constant("top"), Constant("bottom"), Constant("undef")
+
+
+def clashes(
+    ant1: AbstractSet, suc1: AbstractSet, ant2: AbstractSet, suc2: AbstractSet,
+    constants: bool = True,
+) -> bool:
+    """True iff no assignment can meet the four slot constraints on sight:
+    a member shared by ant1 and suc1, ant1 and suc2, or ant2 and suc2, or
+    (with ``constants``) T in a succedent, F in an antecedent, or U in
+    ant1 or suc2.  The slots may hold formulas or atom names."""
+    if not (ant1.isdisjoint(suc1) and ant1.isdisjoint(suc2) and ant2.isdisjoint(suc2)):
         return True
-    if logic.constants_enabled:
-        if Constant("top") in suc1 or Constant("top") in suc2:
-            return True
-        if Constant("bottom") in ant1 or Constant("bottom") in ant2:
-            return True
-        if Constant("undef") in ant1 or Constant("undef") in suc2:
-            return True
+    return constants and (
+        _TOP in suc1 or _TOP in suc2 or _BOTTOM in ant1 or _BOTTOM in ant2
+        or _UNDEF in ant1 or _UNDEF in suc2
+    )
+
+
+def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
+    """Axiom test: a clash among the four slots (the constant clashes
+    count only when the logic enables constants), or a formula that the
+    logic's never-true/never-false connective schemata close."""
+    if clashes(set(b.first.ant), set(b.first.suc), set(b.second.ant),
+               set(b.second.suc), logic.constants_enabled):
+        return True
     for cid, slot in logic.extra_axiom_schemata:
         if any(
             isinstance(f, Compound) and f.connective == cid for f in b.slot(slot)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive verdict (proved, valid, interpolant found,
 all rules verified), 1 for a negative verdict (refuted or invalid, with
-a countermodel rendered), 2 for usage or input errors.
+a countermodel rendered), 2 for usage or input errors, 3 for an
+interpolant that fails its own verification (an internal error).
 """
 from __future__ import annotations
 
@@ -141,13 +142,9 @@ def _cmd_interpolate(args) -> int:
     phi = parse_formula(args.left, sig)
     psi = parse_formula(args.right, sig)
     try:
-        if logic.name in ("K3", "LP", "G3", "G3prime"):
-            interpolant, host = interpolation.interpolate_extended(
-                logic, phi, psi, args.max_atoms
-            )
-        else:
-            interpolant = interpolation.interpolate(logic, phi, psi, args.max_atoms)
-            host = logic
+        interpolant, host = interpolation.interpolate_extended(
+            logic, phi, psi, args.max_atoms
+        )
     except interpolation.NotEntailedError as exc:
         # a failed entailment is a refutation, not an input error
         mode = prover.designated_mode(logic)
@@ -161,7 +158,7 @@ def _cmd_interpolate(args) -> int:
         host, phi, psi, interpolant, args.max_atoms
     ):
         print("internal error: interpolant failed verification", file=sys.stderr)
-        return 1
+        return 3
     rendered = host.render(interpolant)
     payload = {
         "command": "interpolate",
@@ -330,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_countermodel)
 
     p = sub.add_parser("interpolate", help="construct and verify an interpolant")
-    common(p)
+    common(p, constants=False)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_interpolate)

@@ -4,11 +4,12 @@ For an entailment between contingent formulas, the open (nonaxiomatic
 atomic) leaves of separate proof-search trees for the two formulas
 determine an interpolant: each side's leaf atoms are filtered through
 the opposite side's leaves ("primed" sets), and every leaf contributes
-one disjunct whose literals all close that leaf.  The construction is
-native for I1, I2, P1 and P2.  For K3, LP, G3 and G3prime,
-``interpolate_extended`` builds an interpolant in the language extended
-with one extra negation; it is validated by ``verify_interpolant``
-against the extended logic rather than trusted.
+one disjunct whose literals all close that leaf.  ``interpolate_extended``
+is the entry point for all eight host logics.  The construction is
+native for I1, I2, P1 and P2; for K3, LP, G3 and G3prime the interpolant
+lives in the language extended with one extra negation, and it is
+validated by ``verify_interpolant`` against the extended logic rather
+than trusted.  ``interpolate`` serves the four native logics alone.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .bisequent import Bisequent, bisequent
+from .bisequent import Bisequent, bisequent, clashes
 from .formula import Atom, Compound, Formula, atoms
 from .logics import LogicDef
 from .prover import complete_search, designated_mode, prove
@@ -85,17 +86,23 @@ def combined_leaf_check(
     """True iff gluing any left leaf with any right leaf slot by slot
     gives an axiomatic bisequent.  Holds whenever the two trees come from
     a provable entailment; checked before the primed sets are used."""
-    for a in leaves_phi:
-        for b in leaves_psi:
-            ant1, suc1 = a.ant1 | b.ant1, a.suc1 | b.suc1
-            ant2, suc2 = a.ant2 | b.ant2, a.suc2 | b.suc2
-            if not (ant1 & suc1 or ant1 & suc2 or ant2 & suc2):
-                return False
-    return True
+    return all(
+        clashes(a.ant1 | b.ant1, a.suc1 | b.suc1, a.ant2 | b.ant2, a.suc2 | b.suc2)
+        for a in leaves_phi
+        for b in leaves_psi
+    )
 
 
 # ---------------------------------------------------------------------------
 # Formula assembly
+
+#: the logics with an interpolant construction, each with the negation its
+#: interpolants add to the language (None: the logic's own suffices)
+_ADDED_NEGATION = {
+    "I1": None, "I2": None, "P1": None, "P2": None,
+    "K3": "neg_b", "LP": "neg_h", "G3": "neg_b", "G3prime": "neg_h",
+}
+
 
 def _family_tag(logic: LogicDef, prefix: str) -> str:
     matches = [c for c in logic.connectives if c.split("_")[0] == prefix]
@@ -112,48 +119,52 @@ def _fold(tag: str, parts: Sequence[Formula]) -> Formula:
     return reduce(lambda acc, f: Compound(tag, (f, acc)), reversed(parts[:-1]), parts[-1])
 
 
-@dataclass(frozen=True)
-class _Primed:
-    ant1: tuple[str, ...]
-    suc1: tuple[str, ...]
-    ant2: tuple[str, ...]
-    suc2: tuple[str, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not (self.ant1 or self.suc1 or self.ant2 or self.suc2)
-
-
 def _primed_sets(
     leaves_phi: Sequence[LeafAtoms], leaves_psi: Sequence[LeafAtoms]
-) -> list[_Primed]:
+) -> list[LeafAtoms]:
     theta: frozenset[str] = frozenset().union(*(l.ant1 for l in leaves_psi))
     lam: frozenset[str] = frozenset().union(*(l.suc1 for l in leaves_psi))
     xi: frozenset[str] = frozenset().union(*(l.ant2 for l in leaves_psi))
     omega: frozenset[str] = frozenset().union(*(l.suc2 for l in leaves_psi))
-    out = []
-    for leaf in leaves_phi:
-        out.append(
-            _Primed(
-                ant1=tuple(sorted(leaf.ant1 & (lam | omega))),
-                suc1=tuple(sorted(leaf.suc1 & theta)),
-                ant2=tuple(sorted(leaf.ant2 & omega)),
-                suc2=tuple(sorted(leaf.suc2 & (theta | xi))),
-            )
+    return [
+        LeafAtoms(
+            ant1=leaf.ant1 & (lam | omega),
+            suc1=leaf.suc1 & theta,
+            ant2=leaf.ant2 & omega,
+            suc2=leaf.suc2 & (theta | xi),
         )
-    return out
+        for leaf in leaves_phi
+    ]
 
 
-def _disjunct(primed: _Primed, neg: str, conj: str, disj: str, style: int) -> Formula:
-    """One disjunct of the interpolant.
+def _disjunct(logic: LogicDef, primed: LeafAtoms) -> Formula:
+    """One disjunct of the interpolant: a conjunction of literals that
+    all close the leaf ``primed`` comes from.
 
-    ``style`` 1 (one designated value): positive atoms from ant1, negated
-    atoms from suc2, and a negated disjunction collecting negated ant2
-    atoms and plain suc1 atoms.  ``style`` 2 is the mirror image with the
-    two sequents' roles swapped.  Empty parts are simply left out; the
-    whole quadruple is never empty when the combined-leaf check holds.
+    The antecedent of the goal's sequent gives plain atoms, the succedent
+    of the other sequent negated atoms.  The other two slots give, in the
+    native logics, one negated disjunction of the antecedent's negated
+    atoms and the succedent's atoms.  With an added negation the
+    succedent's atoms go under it one by one, and the antecedent's under
+    it after the logic's own negation (in G3prime, under the logic's
+    negation twice).  G3 instead folds its second sequent into one
+    Heyting-negated formula.  Atoms appear in name order; empty parts are
+    left out, and the whole is never empty when the combined-leaf check
+    holds.
     """
-    if style == 1:
+    neg = _family_tag(logic, "neg")
+    conj = _family_tag(logic, "and")
+    disj = _family_tag(logic, "or")
+    added = _ADDED_NEGATION[logic.name]
+
+    def literals(names: frozenset[str], *tags: str) -> list[Formula]:
+        # each atom under the negations ``tags``, outermost first
+        return [
+            reduce(lambda f, tag: Compound(tag, (f,)), reversed(tags), Atom(a))
+            for a in sorted(names)
+        ]
+
+    if logic.goal_mode == 1:
         pos, negd, inner_neg, inner_pos = (
             primed.ant1, primed.suc2, primed.ant2, primed.suc1,
         )
@@ -161,17 +172,33 @@ def _disjunct(primed: _Primed, neg: str, conj: str, disj: str, style: int) -> Fo
         pos, negd, inner_neg, inner_pos = (
             primed.ant2, primed.suc1, primed.ant1, primed.suc2,
         )
-    conjuncts: list[Formula] = [Atom(a) for a in pos]
-    conjuncts += [Compound(neg, (Atom(a),)) for a in negd]
-    inner: list[Formula] = [Compound(neg, (Atom(a),)) for a in inner_neg]
-    inner += [Atom(a) for a in inner_pos]
-    if inner:
-        # keep a disjunction node even for one disjunct: the disjunction
-        # rule moving literals across the two sequents is what lets these
-        # literals close their leaf, and or_c/or_se are not transparent to
-        # the second-sequent value constraints the way a bare literal is
-        body = _fold(disj, inner) if len(inner) > 1 else Compound(disj, (inner[0], inner[0]))
-        conjuncts.append(Compound(neg, (body,)))
+    conjuncts = literals(pos)
+    if logic.name == "G3":
+        ant2, suc2 = literals(inner_neg), literals(negd)
+        if ant2 and suc2:
+            impl = _family_tag(logic, "impl")
+            body: Formula = Compound(impl, (_fold(conj, ant2), _fold(disj, suc2)))
+            conjuncts.append(Compound(neg, (body,)))
+        elif suc2:
+            conjuncts.append(Compound(neg, (_fold(disj, suc2),)))
+        elif ant2:
+            # "not false" of the conjunction, expressed by a double negation
+            conjuncts.append(Compound(neg, (Compound(neg, (_fold(conj, ant2),)),)))
+        conjuncts += literals(inner_pos, added)
+    elif added is not None:
+        outer = neg if logic.name == "G3prime" else added
+        conjuncts += literals(negd, neg) + literals(inner_pos, added)
+        conjuncts += literals(inner_neg, outer, neg)
+    else:
+        conjuncts += literals(negd, neg)
+        inner = literals(inner_neg, neg) + literals(inner_pos)
+        if inner:
+            # keep a disjunction node even for one disjunct: the disjunction
+            # rule moving literals across the two sequents is what lets these
+            # literals close their leaf, and or_c/or_se are not transparent to
+            # the second-sequent value constraints the way a bare literal is
+            body = _fold(disj, inner) if len(inner) > 1 else Compound(disj, (inner[0], inner[0]))
+            conjuncts.append(Compound(neg, (body,)))
     return _fold(conj, conjuncts)
 
 
@@ -197,18 +224,38 @@ def _build_trees(
     return leaves_phi, leaves_psi
 
 
-def _check_inputs(
-    logic: LogicDef, phi: Formula, psi: Formula, max_atoms: int
-) -> None:
-    if not matrix_consequence(logic, (phi,), psi, max_atoms):
-        raise NotEntailedError(
-            f"the entailment does not hold in {logic.name}"
+def interpolate_extended(
+    logic: LogicDef,
+    phi: Formula,
+    psi: Formula,
+    max_atoms: int = DEFAULT_ATOM_CAP,
+) -> tuple[Formula, LogicDef]:
+    """Interpolant for an entailment of contingent formulas in I1, I2, P1,
+    P2, K3, LP, G3 or G3prime: its atoms occur in both formulas, the left
+    formula entails it, and it entails the right formula.  Returns the
+    interpolant together with the logic it lives in: the logic itself for
+    I1, I2, P1 and P2, and for the other four the logic extended with one
+    extra negation.  Callers should accept it only after
+    ``verify_interpolant`` in that logic."""
+    if logic.name not in _ADDED_NEGATION:
+        raise InterpolationError(
+            f"interpolation is supported for {', '.join(_ADDED_NEGATION)}"
         )
+    if not matrix_consequence(logic, (phi,), psi, max_atoms):
+        raise NotEntailedError(f"the entailment does not hold in {logic.name}")
     if not (atoms(phi) & atoms(psi)):
         raise NoSharedAtomError("the formulas share no atom")
-
-
-_SUPPORTED = ("I1", "I2", "P1", "P2")
+    leaves_phi, leaves_psi = _build_trees(logic, phi, psi)
+    if not combined_leaf_check(leaves_phi, leaves_psi):
+        raise InterpolationError("combined leaves are not all axiomatic")
+    disjuncts = []
+    for primed in _primed_sets(leaves_phi, leaves_psi):
+        if not (primed.ant1 or primed.suc1 or primed.ant2 or primed.suc2):
+            raise InterpolationError("a leaf lost all atoms in the primed sets")
+        disjuncts.append(_disjunct(logic, primed))
+    added = _ADDED_NEGATION[logic.name]
+    host = logic if added is None else logic.extended((added,))
+    return _fold(_family_tag(logic, "or"), disjuncts), host
 
 
 def interpolate(
@@ -217,27 +264,15 @@ def interpolate(
     psi: Formula,
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> Formula:
-    """Interpolant for an entailment of contingent formulas in I1, I2,
-    P1 or P2: its atoms occur in both formulas, the left formula entails
-    it, and it entails the right formula."""
-    if logic.name not in _SUPPORTED:
+    """``interpolate_extended`` for the logics whose own language holds
+    their interpolants (I1, I2, P1 and P2), returning the formula alone."""
+    if logic.name not in _ADDED_NEGATION or _ADDED_NEGATION[logic.name]:
+        native = [name for name, added in _ADDED_NEGATION.items() if added is None]
         raise InterpolationError(
-            f"interpolation is supported for {', '.join(_SUPPORTED)}; "
-            f"for K3, LP, G3 and G3prime see interpolate_extended"
+            f"interpolation in the logic's own language is supported for "
+            f"{', '.join(native)}; see interpolate_extended"
         )
-    _check_inputs(logic, phi, psi, max_atoms)
-    leaves_phi, leaves_psi = _build_trees(logic, phi, psi)
-    if not combined_leaf_check(leaves_phi, leaves_psi):
-        raise InterpolationError("combined leaves are not all axiomatic")
-    neg = _family_tag(logic, "neg")
-    conj = _family_tag(logic, "and")
-    disj = _family_tag(logic, "or")
-    disjuncts = []
-    for primed in _primed_sets(leaves_phi, leaves_psi):
-        if primed.empty:
-            raise InterpolationError("a leaf lost all atoms in the primed sets")
-        disjuncts.append(_disjunct(primed, neg, conj, disj, logic.goal_mode))
-    return _fold(disj, disjuncts)
+    return interpolate_extended(logic, phi, psi, max_atoms)[0]
 
 
 def verify_interpolant(
@@ -258,85 +293,3 @@ def verify_interpolant(
         if not prove(logic, mode, (left,), right).proved:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Extended-language interpolants
-
-def _extended_disjunct(host: str, primed: _Primed, logic: LogicDef) -> Formula:
-    conj = _family_tag(logic, "and")
-    disj = _family_tag(logic, "or")
-
-    def negs(tag: str, names: tuple[str, ...], inner=None) -> list[Formula]:
-        return [
-            Compound(tag, (inner(a) if inner else Atom(a),)) for a in names
-        ]
-
-    conjuncts: list[Formula]
-    if host == "K3":
-        # positive ant1 atoms, strong-negated suc2 atoms, outer-negated
-        # suc1 atoms and outer-negated strong-negated ant2 atoms
-        conjuncts = [Atom(a) for a in primed.ant1]
-        conjuncts += negs("neg", primed.suc2)
-        conjuncts += negs("neg_b", primed.suc1)
-        conjuncts += negs("neg_b", primed.ant2, lambda a: Compound("neg", (Atom(a),)))
-    elif host == "LP":
-        conjuncts = [Atom(a) for a in primed.ant2]
-        conjuncts += negs("neg", primed.suc1)
-        conjuncts += negs("neg_h", primed.suc2)
-        conjuncts += negs("neg_h", primed.ant1, lambda a: Compound("neg", (Atom(a),)))
-    elif host == "G3":
-        conjuncts = [Atom(a) for a in primed.ant1]
-        if primed.ant2 and primed.suc2:
-            body: Formula = Compound(
-                "impl_h",
-                (_fold(conj, [Atom(a) for a in primed.ant2]),
-                 _fold(disj, [Atom(a) for a in primed.suc2])),
-            )
-            conjuncts.append(Compound("neg_h", (body,)))
-        elif primed.suc2:
-            conjuncts.append(Compound("neg_h", (_fold(disj, [Atom(a) for a in primed.suc2]),)))
-        elif primed.ant2:
-            # "not false" of the conjunction, expressed by a double negation
-            inner = _fold(conj, [Atom(a) for a in primed.ant2])
-            conjuncts.append(Compound("neg_h", (Compound("neg_h", (inner,)),)))
-        conjuncts += negs("neg_b", primed.suc1)
-    elif host == "G3prime":
-        conjuncts = [Atom(a) for a in primed.ant2]
-        conjuncts += negs("neg_b", primed.suc1)
-        conjuncts += negs("neg_h", primed.suc2)
-        conjuncts += negs(
-            "neg_b", primed.ant1, lambda a: Compound("neg_b", (Atom(a),))
-        )
-    else:
-        raise InterpolationError(f"no extended template for {host}")
-    return _fold(conj, conjuncts)
-
-
-def interpolate_extended(
-    logic: LogicDef,
-    phi: Formula,
-    psi: Formula,
-    max_atoms: int = DEFAULT_ATOM_CAP,
-) -> tuple[Formula, LogicDef]:
-    """Interpolant for K3, LP, G3 or G3prime in the language extended with
-    one extra negation.  Returns the interpolant together with the
-    extended logic it lives in; callers should accept it only after
-    ``verify_interpolant`` in that logic."""
-    extra = {"K3": "neg_b", "LP": "neg_h", "G3": "neg_b", "G3prime": "neg_h"}
-    if logic.name not in extra:
-        raise InterpolationError(
-            "extended interpolation is supported for K3, LP, G3 and G3prime"
-        )
-    _check_inputs(logic, phi, psi, max_atoms)
-    leaves_phi, leaves_psi = _build_trees(logic, phi, psi)
-    if not combined_leaf_check(leaves_phi, leaves_psi):
-        raise InterpolationError("combined leaves are not all axiomatic")
-    disj = _family_tag(logic, "or")
-    disjuncts = []
-    for primed in _primed_sets(leaves_phi, leaves_psi):
-        if primed.empty:
-            raise InterpolationError("a leaf lost all atoms in the primed sets")
-        disjuncts.append(_extended_disjunct(logic.name, primed, logic))
-    extended = logic.extended((extra[logic.name],))
-    return _fold(disj, disjuncts), extended

@@ -142,7 +142,7 @@ class LogicDef:
         """1 if consequence goals live in the first sequent, 2 otherwise."""
         return 1 if self.designated == frozenset((Value.ONE,)) else 2
 
-    @property
+    @cached_property
     def signature(self) -> frozenset[str]:
         return frozenset(self.connectives)
 
@@ -197,7 +197,8 @@ class LogicDef:
 # Catalog file loading
 
 def load_tables(path: Path) -> dict[str, TruthTable]:
-    """Parse a truth-table catalog file."""
+    """Parse a truth-table catalog file; every table must be a connective
+    of ``formula.CONNECTIVES`` with the arity declared there."""
     out: dict[str, TruthTable] = {}
     name: str | None = None
     arity = 0
@@ -231,6 +232,16 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
                 raise CatalogFileError(f"{path.name}:{lineno}: bad table header")
             name = parts[1]
             arity = 1 if parts[2] == "unary" else 2
+            declared = fm.CONNECTIVES.get(name)
+            if declared is None:
+                raise CatalogFileError(
+                    f"{path.name}:{lineno}: table {name!r} is not a known connective"
+                )
+            if declared != arity:
+                raise CatalogFileError(
+                    f"{path.name}:{lineno}: table {name!r} contradicts its "
+                    f"declared arity {declared}"
+                )
         elif name is not None and len(parts) >= 3 and parts[1] == ":":
             try:
                 row = _VALUE_BY_SYMBOL[parts[0]]
@@ -286,13 +297,7 @@ def load_logics(path: Path) -> dict[str, LogicDef]:
 
 @lru_cache(maxsize=None)
 def tables() -> Mapping[str, TruthTable]:
-    loaded = load_tables(_DATA_DIR / "tables.txt")
-    for cid, table in loaded.items():
-        declared = fm.CONNECTIVES.get(cid)
-        if declared is not None and declared != table.arity:
-            raise CatalogFileError(f"table {cid!r} contradicts declared arity")
-        fm.CONNECTIVES.setdefault(cid, table.arity)
-    return loaded
+    return load_tables(_DATA_DIR / "tables.txt")
 
 
 @lru_cache(maxsize=None)

@@ -18,12 +18,14 @@ from .bisequent import (
     SLOTS,
     bisequent,
     bisequent_atoms,
+    clashes,
+    is_atomic,
     is_axiomatic,
     render_bisequent,
 )
 from .calculus import Catalog, apply_rule, catalog
 from .formula import Atom, Compound, Constant, Formula
-from .logics import LogicDef, Value
+from .logics import EvaluationError, LogicDef, Value
 
 __all__ = [
     "GOAL_MODES",
@@ -205,19 +207,12 @@ def countermodel_from_leaf(leaf: Bisequent) -> dict[str, Value]:
     1; anything else u.  Nonaxiomaticity rules out every clash, so the
     result meets all four slot constraints.
     """
+    if not is_atomic(leaf):
+        raise LeafError("leaf is not atomic")
     ant1, suc1 = set(leaf.first.ant), set(leaf.first.suc)
     ant2, suc2 = set(leaf.second.ant), set(leaf.second.suc)
-    for f in ant1 | suc1 | ant2 | suc2:
-        if isinstance(f, Compound):
-            raise LeafError("leaf is not atomic")
-    if ant1 & suc1 or ant1 & suc2 or ant2 & suc2:
+    if clashes(ant1, suc1, ant2, suc2):
         raise LeafError("leaf is axiomatic")
-    if (
-        Constant("top") in suc1 | suc2
-        or Constant("bottom") in ant1 | ant2
-        or Constant("undef") in ant1 | suc2
-    ):
-        raise LeafError("leaf has a constant clash")
 
     def names(fs: set) -> set[str]:
         return {f.name for f in fs if isinstance(f, Atom)}
@@ -281,7 +276,19 @@ def prove_bisequent(
 ) -> SearchResult:
     """Decision procedure on a root bisequent: proved iff the complete
     proof-search tree is axiomatic, otherwise refuted with an assignment
-    read off the first open leaf (atoms absent from that branch get u)."""
+    read off the first open leaf (atoms absent from that branch get u).
+    Raises ``EvaluationError``, as the oracle does, when the root holds a
+    constant and the logic does not enable constants."""
+    if not logic.constants_enabled:
+        todo = [f for _, _, f in root.formulas()]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, Constant):
+                raise EvaluationError(
+                    f"constants are not enabled in logic {logic.name}"
+                )
+            if isinstance(f, Compound):
+                todo.extend(f.args)
     tree = complete_search(logic, root, strategy, memo=memo)
     opens = tree.open_leaves()
     if not opens:

@@ -281,19 +281,9 @@ def test_criterion_6_palasinska_agreement():
     connectives and at most one premiss."""
     goals = 0
     for name in ("Palasinska1", "Palasinska2"):
-        logic = lookup_logic(name)
-        memo: dict = {}
-        pool = list(iter_formulas(logic.signature, ("p", "q"), 3))
-        mode = designated_mode(logic)
-        all_goals = [((), f) for f in pool]
-        all_goals += [((g,), f) for g in pool for f in pool]
-        for premisses, conclusion in all_goals:
-            root = goal_bisequent(logic, mode, premisses, conclusion)
-            result = prove_bisequent(logic, root, memo=memo)
-            assert result.proved == matrix_consequence(logic, premisses, conclusion), (
-                name, premisses, conclusion,
-            )
-            goals += 1
+        data = _run_sweep(lookup_logic(name), 3, 3, 3)
+        assert not data.disagreements, (name, data.disagreements[:3])
+        goals += data.n_goals
     _report(6, "Palasinska characterisation", f"{goals} goals, exact agreement")
 
 

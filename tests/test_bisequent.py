@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from trivalent.bisequent import (
     Sequent,
     bisequent,
+    clashes,
     is_atomic,
     is_axiomatic,
     parse_bisequent,
@@ -84,6 +85,14 @@ class TestIsAxiomatic:
         assert is_axiomatic(k3c, parse_bisequent("=> | => U", sig))
         # without the opt-in these are plain open leaves
         assert not is_axiomatic(K3, parse_bisequent("=> T | =>", sig))
+
+    def test_one_clash_test_for_formulas_and_atom_names(self):
+        # the same predicate closes formula slots and glued atom-name sets
+        assert clashes({"p"}, set(), set(), {"p"})
+        assert not clashes({"p"}, set(), {"p"}, set())
+        t = parse_bisequent("=> T | =>", SIG)
+        assert clashes(set(), set(t.first.suc), set(), set())
+        assert not clashes(set(), set(t.first.suc), set(), set(), constants=False)
 
     def test_palasinska_schema(self):
         pal = lookup_logic("Palasinska1")

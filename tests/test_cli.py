@@ -77,6 +77,13 @@ class TestProve:
         code, _, _ = call(capsys, "prove", "--logic", "K3", "--constants", "", "T")
         assert code == 0
 
+    def test_constants_without_the_flag_exit_two_like_the_oracle(self, capsys):
+        for goal in (("U", "U"), ("", "T")):
+            for command in ("prove", "check-semantic"):
+                code, _, err = call(capsys, command, "--logic", "K3", *goal)
+                assert code == 2, (command, goal)
+                assert "constants are not enabled in logic K3" in err
+
 
 class TestCheckSemantic:
     def test_agrees_with_prove(self, capsys):
@@ -120,6 +127,22 @@ class TestInterpolate:
     def test_extended_host_logics(self, capsys):
         code, out, _ = call(capsys, "interpolate", "--logic", "K3", "p & q", "p | q")
         assert code == 0
+
+    def test_no_constants_flag(self, capsys):
+        code, _, err = call(
+            capsys, "interpolate", "--logic", "I1", "--constants", "p & q", "p | q"
+        )
+        assert code == 2
+        assert "unrecognized arguments: --constants" in err
+
+    def test_failed_verification_is_an_internal_error(self, capsys, monkeypatch):
+        from trivalent import interpolation
+
+        monkeypatch.setattr(interpolation, "verify_interpolant", lambda *a: False)
+        code, out, err = call(capsys, "interpolate", "--logic", "I1", "p & q", "p | q")
+        assert code == 3
+        assert not out
+        assert "failed verification" in err
 
 
 class TestOtherCommands:

@@ -158,6 +158,15 @@ def test_extended_language_interpolants_verify(name):
     assert done == 15
 
 
+@pytest.mark.parametrize("name", ("I1", "I2", "P1", "P2"))
+def test_one_entry_point_for_the_native_logics(name):
+    logic = lookup_logic(name)
+    phi, psi = logic.parse("p & q"), logic.parse("p | q")
+    inter, host = interpolate_extended(logic, phi, psi)
+    assert host is logic
+    assert inter == interpolate(logic, phi, psi)
+
+
 def test_extended_interpolant_uses_the_added_negation_only_when_needed():
     k3 = lookup_logic("K3")
     phi, psi = k3.parse("p & q"), k3.parse("p | q")

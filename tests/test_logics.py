@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from trivalent.logics import (
+    CatalogFileError,
     UnknownLogicError,
     Value,
     VALUES,
     available_logics,
     evaluate,
+    load_tables,
     lookup_logic,
     slot_admits,
     tables,
@@ -45,6 +47,23 @@ def test_unknown_logic_lists_names():
 def test_logics_share_table_objects():
     assert lookup_logic("K3").table("neg") is lookup_logic("LP").table("neg")
     assert lookup_logic("K3").table("and") is lookup_logic("L3").table("and")
+
+
+def test_signature_is_computed_once():
+    k3 = lookup_logic("K3")
+    assert k3.signature is k3.signature == frozenset(k3.connectives)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    (("table neg_x unary", "table 'neg_x' is not a known connective"),
+     ("table neg binary", "table 'neg' contradicts its declared arity 1")),
+)
+def test_table_file_must_match_the_declared_connectives(tmp_path, header, message):
+    path = tmp_path / "tables.txt"
+    path.write_text(f"# one table\n\n{header}\n  1 : 0\n")
+    with pytest.raises(CatalogFileError, match=f"tables.txt:3: {message}"):
+        load_tables(path)
 
 
 def test_tables_are_total():

@@ -131,6 +131,14 @@ class TestProve:
             root = goal_bisequent(K3, "designated_1", premisses, conclusion)
             assert falsifies(K3, result.countermodel, root)
 
+    @pytest.mark.parametrize("goal", ("U => U | =>", "=> T | =>", "p & F => | =>"))
+    def test_constants_need_opt_in_like_the_oracle(self, goal):
+        from trivalent.logics import EvaluationError
+
+        with pytest.raises(EvaluationError, match="constants are not enabled"):
+            prove_bisequent(K3, bp(goal))
+        assert isinstance(prove_bisequent(K3.with_constants(), bp(goal)), Proved)
+
     def test_branch_local_atoms_default_to_undefined(self):
         # the first open branch never sees q; it is filled in as u
         result = prove(K3, "designated_1", (), K3.parse("p & q"))
