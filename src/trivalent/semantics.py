@@ -1,17 +1,30 @@
-"""Brute-force matrix-semantics oracle.
+"""Exhaustive, bit-parallel matrix-semantics oracle.
 
-Everything here enumerates all 3^n assignments over the relevant atoms,
-so it is slow but obviously correct; the proof-search machinery is
-checked against it.
+The oracle decides by brute force over all 3^n assignments to the
+relevant atoms, so it is obviously correct, and the proof-search
+machinery is checked against it.  It evaluates every assignment at once
+(bit-slicing): bit *i* of a mask stands for the *i*-th assignment in
+``assignments_over`` order, and each subformula gets one mask per truth
+value.  A connective's 1 and 0 masks are unions, over the cells of its
+truth table that give that value, of intersections of its arguments'
+masks; its u mask is what remains.  ``falsifying_assignments``,
+``bisequent_valid`` and ``matrix_consequence`` all reduce to one such
+evaluation of ``(slot, formula)`` pairs, which evaluates every formula:
+a constant in a logic without constants raises ``EvaluationError``
+whatever the other formulas evaluate to.
+
+``evaluate`` (from ``logics``), ``falsifies`` and ``assignments_over``
+stay as the per-assignment reference; countermodel checks use them.
 """
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .bisequent import Bisequent, bisequent_atoms
-from .formula import Formula, atoms
-from .logics import VALUES, LogicDef, Value, evaluate, slot_admits
+from .bisequent import Bisequent
+from .formula import Atom, Constant, Formula, atoms
+from .logics import VALUES, LogicDef, Value, evaluate, slot_admits, tables
 
 __all__ = [
     "DEFAULT_ATOM_CAP",
@@ -35,14 +48,19 @@ class AtomLimitError(ValueError):
         )
 
 
+def _atom_names(names: Iterable[str], max_atoms: int) -> list[str]:
+    out = sorted(set(names))
+    if len(out) > max_atoms:
+        raise AtomLimitError(len(out), max_atoms)
+    return out
+
+
 def assignments_over(
     atom_names: Iterable[str], max_atoms: int = DEFAULT_ATOM_CAP
 ) -> Iterator[dict[str, Value]]:
     """All assignments over the given atoms, atoms in sorted name order,
     values enumerated 0 < u < 1 (lexicographic, deterministic)."""
-    names = sorted(set(atom_names))
-    if len(names) > max_atoms:
-        raise AtomLimitError(len(names), max_atoms)
+    names = _atom_names(atom_names, max_atoms)
     for combo in itertools.product(VALUES, repeat=len(names)):
         yield dict(zip(names, combo))
 
@@ -56,23 +74,110 @@ def falsifies(logic: LogicDef, assignment: Mapping[str, Value], b: Bisequent) ->
     )
 
 
+# ---------------------------------------------------------------------------
+# Mask evaluation
+
+@lru_cache(maxsize=None)
+def _cells(connective: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The argument cells of a table that give 1, then those that give 0,
+    each cell as indices into ``VALUES``."""
+    entries = tables()[connective].entries
+    return tuple(
+        tuple(
+            tuple(VALUES.index(a) for a in args)
+            for args, out in entries.items()
+            if out is value
+        )
+        for value in (Value.ONE, Value.ZERO)
+    )
+
+
+@lru_cache(maxsize=None)
+def _admitted(slot: str) -> tuple[int, ...]:
+    """Indices into ``VALUES`` of the values a slot admits."""
+    return tuple(i for i, v in enumerate(VALUES) if slot_admits(slot, v))
+
+
+def _masks(
+    logic: LogicDef, f: Formula, atom_masks: Mapping[str, tuple[int, ...]], full: int
+) -> tuple[int, ...]:
+    """The assignments where ``f`` takes each value, indexed like ``VALUES``.
+    Only the 1 and 0 masks are unions of table cells; the u mask is the
+    rest of ``full``."""
+    if isinstance(f, Atom):
+        return atom_masks[f.name]
+    if isinstance(f, Constant):
+        v = evaluate(logic, {}, f)  # rejects constants the logic lacks
+        return tuple(full if w is v else 0 for w in VALUES)
+    table = logic.table(f.connective)  # rejects connectives the logic lacks
+    args = [_masks(logic, a, atom_masks, full) for a in f.args]
+    one_cells, zero_cells = _cells(table.name)
+    one, zero = _union(one_cells, args), _union(zero_cells, args)
+    return zero, full ^ (one | zero), one
+
+
+def _union(cells, args) -> int:
+    """The assignments where the arguments take the values of some cell."""
+    out = 0
+    if len(args) == 1:
+        (x,) = args
+        for (i,) in cells:
+            out |= x[i]
+    else:
+        x, y = args
+        for i, j in cells:
+            out |= x[i] & y[j]
+    return out
+
+
+def _falsifying_mask(
+    logic: LogicDef, items: Iterable[tuple[str, Formula]], max_atoms: int
+) -> tuple[list[str], int]:
+    """The sorted atom names and the mask of the assignments over them that
+    give every ``(slot, formula)`` pair a value its slot admits."""
+    items = tuple(items)
+    names = _atom_names(
+        itertools.chain.from_iterable(atoms(f) for _, f in items), max_atoms
+    )
+    run = 3 ** len(names)
+    full = (1 << run) - 1
+    # atom k takes each value on runs of 3^(n-1-k) consecutive assignments;
+    # ``rep`` has one bit at the start of each of its runs of 0s
+    atom_masks: dict[str, tuple[int, ...]] = {}
+    rep = 1
+    for name in names:
+        run //= 3
+        zero = (rep << run) - rep  # a block of ``run`` ones at each bit of rep
+        atom_masks[name] = (zero, zero << run, zero << 2 * run)
+        rep |= (rep << run) | (rep << 2 * run)
+    out = full
+    for slot, f in items:
+        masks = _masks(logic, f, atom_masks, full)
+        admitted = 0
+        for k in _admitted(slot):
+            admitted |= masks[k]
+        out &= admitted
+    return names, out
+
+
+def _slot_items(b: Bisequent) -> Iterator[tuple[str, Formula]]:
+    return ((slot, f) for slot, _, f in b.formulas())
+
+
 def falsifying_assignments(
     logic: LogicDef, b: Bisequent, max_atoms: int = DEFAULT_ATOM_CAP
 ) -> list[dict[str, Value]]:
-    return [
-        h
-        for h in assignments_over(bisequent_atoms(b), max_atoms)
-        if falsifies(logic, h, b)
-    ]
+    """Every assignment that falsifies ``b``, in ``assignments_over`` order."""
+    names, mask = _falsifying_mask(logic, _slot_items(b), max_atoms)
+    selected = map("1".__eq__, bin(mask)[:1:-1])  # bit i first
+    pairs = itertools.product(*([(name, v) for v in VALUES] for name in names))
+    return list(map(dict, itertools.compress(pairs, selected)))
 
 
 def bisequent_valid(
     logic: LogicDef, b: Bisequent, max_atoms: int = DEFAULT_ATOM_CAP
 ) -> bool:
-    return not any(
-        falsifies(logic, h, b)
-        for h in assignments_over(bisequent_atoms(b), max_atoms)
-    )
+    return not _falsifying_mask(logic, _slot_items(b), max_atoms)[1]
 
 
 def matrix_consequence(
@@ -85,12 +190,7 @@ def matrix_consequence(
     conclusion designated.  For one designated value this coincides with
     validity of ``premisses => conclusion | =>``, for two with validity of
     ``=> | premisses => conclusion``."""
-    premisses = tuple(premisses)
-    names: frozenset[str] = atoms(conclusion)
-    for p in premisses:
-        names |= atoms(p)
-    for h in assignments_over(names, max_atoms):
-        if all(evaluate(logic, h, p) in logic.designated for p in premisses):
-            if evaluate(logic, h, conclusion) not in logic.designated:
-                return False
-    return True
+    ant, suc = ("ant1", "suc1") if logic.goal_mode == 1 else ("ant2", "suc2")
+    items = [(ant, p) for p in premisses]
+    items.append((suc, conclusion))
+    return not _falsifying_mask(logic, items, max_atoms)[1]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from trivalent.formula import CONNECTIVES, Atom, Compound
+from trivalent.formula import CONNECTIVES, Atom, Compound, Constant
 from trivalent.logics import available_logics, lookup_logic
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -17,12 +17,17 @@ ALL_LOGICS = available_logics()
 CORE_LOGICS = ("K3", "LP", "K3w", "L3", "J3", "I1", "P1", "P3", "Palasinska1")
 
 
-def formulas(signature, atom_names=("p", "q", "r"), max_leaves=6):
-    """Hypothesis strategy for formulas over a signature."""
+def formulas(signature, atom_names=("p", "q", "r"), max_leaves=6, constants=False):
+    """Hypothesis strategy for formulas over a signature; with
+    ``constants`` the leaves include T, F and U."""
     sig = sorted(signature)
     unary = [c for c in sig if CONNECTIVES[c] == 1]
     binary = [c for c in sig if CONNECTIVES[c] == 2]
     base = st.builds(Atom, st.sampled_from(list(atom_names)))
+    if constants:
+        base = st.one_of(
+            base, st.builds(Constant, st.sampled_from(("top", "bottom", "undef")))
+        )
 
     def extend(children):
         options = []

@@ -92,6 +92,17 @@ class TestCheckSemantic:
             code_c, _, _ = call(capsys, "check-semantic", "--logic", "K3", *goal)
             assert code_p == code_c == expected
 
+    def test_undeclared_constant_exits_two_whatever_the_premisses(self, capsys):
+        # the premiss is never designated in K3, so only the constant is wrong
+        for argv in (
+            ("check-semantic", "--logic", "K3", "p & ~p", "U"),
+            ("countermodel", "--logic", "K3", "p & ~p", "U"),
+            ("countermodel", "--logic", "K3", "p & ~p => T | =>"),
+        ):
+            code, _, err = call(capsys, *argv)
+            assert code == 2, argv
+            assert "constants are not enabled in logic K3" in err
+
 
 class TestCountermodel:
     def test_bisequent_argument(self, capsys):
@@ -111,6 +122,15 @@ class TestCountermodel:
         assert code == 1
         payload = json.loads(out)
         assert payload["countermodels"] == [{"p": "0"}, {"p": "u"}]
+
+    def test_json_countermodels_come_in_enumeration_order(self, capsys):
+        # atoms in name order, values 0 < u < 1, the last atom fastest
+        code, out, _ = call(capsys, "countermodel", "--logic", "K3", "--json", "p | q", "r")
+        assert code == 1
+        golden = ["010", "01u", "u10", "u1u", "100", "10u", "1u0", "1uu", "110", "11u"]
+        assert json.loads(out)["countermodels"] == [
+            dict(zip("pqr", values)) for values in golden
+        ]
 
 
 class TestInterpolate:

@@ -4,10 +4,18 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivalent.bisequent import bisequent, parse_bisequent
-from trivalent.formula import Atom, Constant
-from trivalent.logics import Value, lookup_logic
+from trivalent.formula import Atom, Constant, atoms, iter_formulas
+from trivalent.logics import (
+    SLOTS,
+    EvaluationError,
+    Value,
+    evaluate,
+    lookup_logic,
+    slot_admits,
+)
 from trivalent.semantics import (
     AtomLimitError,
     assignments_over,
@@ -17,7 +25,7 @@ from trivalent.semantics import (
     matrix_consequence,
 )
 
-from conftest import DATA_DIR, formulas
+from conftest import ALL_LOGICS, DATA_DIR, formulas
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -175,3 +183,124 @@ def test_falsifies_checks_all_four_slots(k3):
         h = dict(good)
         h[name] = bad
         assert not falsifies(k3, h, b)
+
+
+# --- the bit-parallel oracle against the per-assignment reference ---
+
+CONSTANTS = (Constant("top"), Constant("bottom"), Constant("undef"))
+
+
+@pytest.mark.parametrize("name", ALL_LOGICS)
+def test_masks_equal_the_loop_over_two_atoms(name):
+    # exhaustive over the formulas with at most two connectives over {p,q},
+    # in each single-slot bisequent; with constants the pool gains T, F, U.
+    # A single-slot bisequent is falsified where ``slot_admits`` holds of
+    # its formula's value, so the loop evaluates each formula once.
+    base = lookup_logic(name)
+    pool = tuple(iter_formulas(base.signature, ("p", "q"), 2))
+    for logic, extra in ((base, ()), (base.with_constants(), CONSTANTS)):
+        for f in pool + extra:
+            hs = list(assignments_over(atoms(f)))
+            values = [evaluate(logic, h, f) for h in hs]
+            for slot in SLOTS:
+                b = bisequent(**{slot: (f,)})
+                expected = [h for h, v in zip(hs, values) if slot_admits(slot, v)]
+                assert falsifying_assignments(logic, b) == expected, (slot, f)
+                assert bisequent_valid(logic, b) == (not expected), (slot, f)
+
+
+#: the value condition of each slot under falsification, written out
+#: independently of ``slot_admits``
+_REF_ADMITS = {
+    "ant1": lambda v: v == "1",
+    "suc1": lambda v: v != "1",
+    "ant2": lambda v: v != "0",
+    "suc2": lambda v: v == "0",
+}
+
+
+def ref_bisequent_valid(pairs) -> bool:
+    names = sorted({a for _, f in pairs for a in _names(f)})
+    return not any(
+        all(_REF_ADMITS[slot](ref_eval(f, dict(zip(names, combo)))) for slot, f in pairs)
+        for combo in itertools.product("0u1", repeat=len(names))
+    )
+
+
+def _goals(logic):
+    """``(slot, formula)`` pairs and a consequence goal over three to five
+    atoms, constants included."""
+    strategies = []
+    for n in (3, 4, 5):
+        fs = formulas(
+            logic.signature, ("p", "q", "r", "s", "t")[:n], max_leaves=4, constants=True
+        )
+        pairs = st.lists(st.tuples(st.sampled_from(SLOTS), fs), max_size=5)
+        strategies.append(st.tuples(pairs, st.lists(fs, max_size=2), fs))
+    return st.one_of(strategies)
+
+
+@pytest.mark.parametrize("name", ALL_LOGICS)
+def test_oracle_agrees_with_reference_tables_on_wider_goals(name):
+    logic = lookup_logic(name).with_constants()
+
+    @given(_goals(logic))
+    @settings(max_examples=10, deadline=None)
+    def check(goal):
+        pairs, premisses, conclusion = goal
+        b = bisequent(**{slot: [f for s, f in pairs if s == slot] for slot in SLOTS})
+        assert bisequent_valid(logic, b) == ref_bisequent_valid(pairs)
+        assert matrix_consequence(logic, premisses, conclusion) == ref_consequence(
+            logic, tuple(premisses), conclusion
+        )
+
+    check()
+
+
+class TestUndeclaredConstants:
+    # the premiss is never designated in K3, so the constant is the only
+    # thing that can be wrong with these goals
+    def test_matrix_consequence(self):
+        with pytest.raises(EvaluationError, match="constants are not enabled"):
+            matrix_consequence(K3, (K3.parse("p & ~p"),), Constant("undef"))
+        with pytest.raises(EvaluationError, match="constants are not enabled"):
+            matrix_consequence(K3, (), K3.parse("p | ~p | T"))
+
+    def test_bisequent_valid(self):
+        b = bisequent(ant1=(K3.parse("p & ~p"),), suc1=(Constant("top"),))
+        with pytest.raises(EvaluationError, match="constants are not enabled"):
+            bisequent_valid(K3, b)
+
+    def test_falsifying_assignments(self):
+        b = bisequent(ant1=(K3.parse("p & ~p"),), suc2=(Constant("bottom"),))
+        with pytest.raises(EvaluationError, match="constants are not enabled"):
+            falsifying_assignments(K3, b)
+
+    def test_enabled_constants_are_evaluated(self):
+        k3c = K3.with_constants()
+        b = bisequent(ant1=(K3.parse("p & ~p"),), suc1=(Constant("top"),))
+        assert bisequent_valid(k3c, b)
+        assert matrix_consequence(k3c, (K3.parse("p & ~p"),), Constant("undef"))
+
+
+class TestEdgeCases:
+    def test_no_atoms(self):
+        k3c = K3.with_constants()
+        T, F, U = CONSTANTS
+        assert falsifying_assignments(k3c, bisequent(ant1=(T,), suc1=(U,))) == [{}]
+        assert falsifying_assignments(k3c, bisequent(suc1=(T,))) == []
+        assert falsifying_assignments(k3c, bisequent()) == [{}]
+        assert not bisequent_valid(k3c, bisequent(ant2=(U,), suc2=(F,)))
+        assert bisequent_valid(k3c, bisequent(ant2=(F,)))
+        assert matrix_consequence(k3c, (F,), U)
+        assert not matrix_consequence(k3c, (T,), U)
+
+    def test_thirteen_atoms_need_a_raised_cap(self):
+        # ``TestMatrixConsequence.test_atom_cap`` covers the third entry point
+        names = [f"x{i}" for i in range(13)]
+        b = bisequent(ant1=(K3.parse(" & ".join(names)),), suc1=(K3.parse(" | ".join(names)),))
+        for check in (falsifying_assignments, bisequent_valid):
+            with pytest.raises(AtomLimitError):
+                check(K3, b)
+        assert falsifying_assignments(K3, b, max_atoms=13) == []
+        assert bisequent_valid(K3, b, max_atoms=13)
