@@ -10,32 +10,14 @@ for soaking a single logic harder than the test suite does, e.g.:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from trivalent.formula import complexity, iter_formulas
 from trivalent.logics import available_logics, lookup_logic
-from trivalent.prover import designated_mode, goal_bisequent, prove_bisequent
-from trivalent.semantics import matrix_consequence
 
-
-def sweep(logic, atom_names, premiss_size, conclusion_size, solo_size):
-    pool = list(iter_formulas(logic.signature, atom_names, max(conclusion_size, solo_size)))
-    small = [f for f in pool if complexity(f) <= premiss_size]
-    mid = [f for f in pool if complexity(f) <= conclusion_size]
-    solo = [f for f in pool if complexity(f) <= solo_size]
-    goals = [((), f) for f in solo]
-    goals += [((g,), f) for g in small for f in mid]
-    memo: dict = {}
-    mode = designated_mode(logic)
-    agree = 0
-    for premisses, conclusion in goals:
-        root = goal_bisequent(logic, mode, premisses, conclusion)
-        verdict = prove_bisequent(logic, root, memo=memo).proved
-        if verdict != matrix_consequence(logic, premisses, conclusion):
-            print(f"  DISAGREEMENT: {premisses} |- {conclusion}")
-        else:
-            agree += 1
-    return agree, len(goals)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import run_sweep  # noqa: E402
 
 
 def main() -> int:
@@ -54,11 +36,14 @@ def main() -> int:
     for name in names:
         logic = lookup_logic(name)
         started = time.perf_counter()
-        agree, total = sweep(
+        data = run_sweep(
             logic, atom_names, args.premiss_size, args.conclusion_size, args.solo_size
         )
-        bad += total - agree
-        print(f"{name:14} {agree}/{total} agree   "
+        for premisses, conclusion, _, _ in data.disagreements:
+            print(f"  DISAGREEMENT: {premisses} |- {conclusion}")
+        bad += len(data.disagreements)
+        agree = data.n_goals - len(data.disagreements)
+        print(f"{name:14} {agree}/{data.n_goals} agree   "
               f"({time.perf_counter() - started:.1f}s)")
     print("no disagreements" if bad == 0 else f"{bad} DISAGREEMENTS")
     return 1 if bad else 0

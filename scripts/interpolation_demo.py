@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
-from trivalent.formula import CONNECTIVES, Atom, Compound, atoms
+from trivalent.formula import atoms
 from trivalent.interpolation import (
     NotContingentError,
     interpolate_extended,
@@ -18,16 +20,8 @@ from trivalent.interpolation import (
 from trivalent.logics import lookup_logic
 from trivalent.semantics import matrix_consequence
 
-
-def random_formula(rng, signature, names, n):
-    if n == 0:
-        return Atom(rng.choice(names))
-    cid = rng.choice(sorted(signature))
-    if CONNECTIVES[cid] == 1:
-        return Compound(cid, (random_formula(rng, signature, names, n - 1),))
-    k = rng.randint(0, n - 1)
-    return Compound(cid, (random_formula(rng, signature, names, k),
-                          random_formula(rng, signature, names, n - 1 - k)))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import random_formula  # noqa: E402
 
 
 def main() -> int:

@@ -2,7 +2,7 @@
 for a catalog of three-valued propositional logics, via a cut-free
 bisequent calculus backed by a brute-force matrix-semantics oracle."""
 
-from .bisequent import Bisequent, Sequent, bisequent, is_atomic, is_axiomatic
+from .bisequent import Bisequent, bisequent, is_atomic, is_axiomatic
 from .calculus import (
     AxiomSchema,
     Placement,

@@ -1,9 +1,9 @@
-"""Bisequents: ordered pairs of two-sided sequents, and the axiom test.
+"""Bisequents and the axiom test.
 
-A bisequent has four slots ("ant1", "suc1", "ant2", "suc2").  Slot
-contents are multisets: order never matters for equality, duplicates do.
-Text format: ``G1 => D1 | G2 => D2`` with comma-separated formula lists,
-empty lists allowed.
+A bisequent ``G1 => D1 | G2 => D2`` is one record with four slots,
+"ant1", "suc1", "ant2" and "suc2".  Slot contents are multisets: order
+never matters for equality, duplicates do.  In the text format each slot
+is a comma-separated formula list, empty lists allowed.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .formula import (
 from .logics import SLOTS, LogicDef
 
 __all__ = [
-    "Sequent",
     "Bisequent",
     "SLOTS",
     "bisequent",
@@ -37,48 +36,42 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Sequent:
-    """A pair of formula multisets (antecedent, succedent)."""
+class Bisequent:
+    """``ant1 => suc1 | ant2 => suc2``: one formula tuple per slot, in
+    insertion order.  Equality and hashing go through one canonical key,
+    each slot's formulas sorted by ``structural_key``."""
 
-    ant: tuple[Formula, ...]
-    suc: tuple[Formula, ...]
+    ant1: tuple[Formula, ...] = ()
+    suc1: tuple[Formula, ...] = ()
+    ant2: tuple[Formula, ...] = ()
+    suc2: tuple[Formula, ...] = ()
 
     def __post_init__(self) -> None:
-        key = (
-            tuple(sorted(map(structural_key, self.ant))),
-            tuple(sorted(map(structural_key, self.suc))),
+        key = tuple(
+            tuple(sorted(map(structural_key, fs)))
+            for fs in (self.ant1, self.suc1, self.ant2, self.suc2)
         )
         object.__setattr__(self, "_key", key)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequent):
+        if not isinstance(other, Bisequent):
             return NotImplemented
         return self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
 
-
-@dataclass(frozen=True)
-class Bisequent:
-    first: Sequent
-    second: Sequent
-
     def slot(self, slot: str) -> tuple[Formula, ...]:
-        if slot == "ant1":
-            return self.first.ant
-        if slot == "suc1":
-            return self.first.suc
-        if slot == "ant2":
-            return self.second.ant
-        if slot == "suc2":
-            return self.second.suc
-        raise ValueError(f"unknown slot {slot!r}")
+        if slot not in SLOTS:
+            raise ValueError(f"unknown slot {slot!r}")
+        return getattr(self, slot)
+
+    def slots(self) -> dict[str, tuple[Formula, ...]]:
+        return {s: getattr(self, s) for s in SLOTS}
 
     def replace(self, slot: str, formulas: Iterable[Formula]) -> "Bisequent":
-        parts = {s: self.slot(s) for s in SLOTS}
-        parts[slot] = tuple(formulas)
-        return bisequent(**parts)
+        self.slot(slot)  # rejects an unknown slot name
+        return bisequent(**{**self.slots(), slot: formulas})
 
     def add(self, slot: str, *formulas: Formula) -> "Bisequent":
         return self.replace(slot, self.slot(slot) + formulas)
@@ -89,7 +82,7 @@ class Bisequent:
 
     def formulas(self) -> Iterator[tuple[str, int, Formula]]:
         for s in SLOTS:
-            for i, f in enumerate(self.slot(s)):
+            for i, f in enumerate(getattr(self, s)):
                 yield s, i, f
 
 
@@ -99,9 +92,7 @@ def bisequent(
     ant2: Iterable[Formula] = (),
     suc2: Iterable[Formula] = (),
 ) -> Bisequent:
-    return Bisequent(
-        Sequent(tuple(ant1), tuple(suc1)), Sequent(tuple(ant2), tuple(suc2))
-    )
+    return Bisequent(tuple(ant1), tuple(suc1), tuple(ant2), tuple(suc2))
 
 
 def bisequent_atoms(b: Bisequent) -> frozenset[str]:
@@ -138,9 +129,14 @@ def clashes(
 def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
     """Axiom test: a clash among the four slots (the constant clashes
     count only when the logic enables constants), or a formula that the
-    logic's never-true/never-false connective schemata close."""
-    if clashes(set(b.first.ant), set(b.first.suc), set(b.second.ant),
-               set(b.second.suc), logic.constants_enabled):
+    logic's never-true/never-false connective schemata close.
+
+    Precondition: ``b`` holds no constant unless the logic enables
+    constants (``complete_search`` rejects such a root); otherwise a
+    constant counts as an opaque formula, so ``U => U | =>`` is axiomatic
+    and ``U => | =>`` is not."""
+    if clashes(set(b.ant1), set(b.suc1), set(b.ant2), set(b.suc2),
+               logic.constants_enabled):
         return True
     for cid, slot in logic.extra_axiom_schemata:
         if any(
@@ -158,8 +154,7 @@ def render_bisequent(b: Bisequent, signature=None) -> str:
         return ", ".join(render(f, signature) for f in fs)
 
     return (
-        f"{side(b.first.ant)} => {side(b.first.suc)}"
-        f" | {side(b.second.ant)} => {side(b.second.suc)}"
+        f"{side(b.ant1)} => {side(b.suc1)} | {side(b.ant2)} => {side(b.suc2)}"
     ).strip()
 
 
@@ -209,12 +204,13 @@ def _parse_field(text: str, signature, offset: int) -> Formula:
         raise ParseError(exc.message, offset + exc.position) from None
 
 
-def _parse_sequent(text: str, signature, offset: int) -> Sequent | None:
+def _parse_sequent(text: str, signature, offset: int) -> tuple | None:
+    """The (antecedent, succedent) pair of ``G => D``."""
     arrows = _top_level_positions(text, "=>")
     if len(arrows) != 1:
         return None
     at = arrows[0]
-    return Sequent(
+    return (
         _parse_side(text[:at], signature, offset),
         _parse_side(text[at + 2 :], signature, offset + at + 2),
     )
@@ -234,7 +230,7 @@ def parse_bisequent(text: str, signature) -> Bisequent:
             last_error = exc
             continue
         if left is not None and right is not None:
-            candidates.append(Bisequent(left, right))
+            candidates.append(Bisequent(*left, *right))
     if not candidates:
         if last_error is not None:
             raise last_error

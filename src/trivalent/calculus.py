@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bisequent import Bisequent
+from .bisequent import Bisequent, bisequent
 from .formula import CONNECTIVES, Compound
 from .logics import (
     SLOTS,
@@ -175,8 +175,8 @@ def apply_rule(
     rule: RuleSchema, b: Bisequent, occurrence: tuple[str, int]
 ) -> list[Bisequent]:
     """One premiss bisequent per premiss schema: the principal occurrence
-    is removed, placements insert its immediate subformulas, contexts are
-    copied unchanged."""
+    is removed, each placement appends its immediate subformula to its
+    slot in placement order, contexts are copied unchanged."""
     slot, index = occurrence
     if slot != rule.principal_slot:
         raise OccurrenceError(
@@ -191,13 +191,14 @@ def apply_rule(
         raise OccurrenceError(
             f"formula at {slot}[{index}] is not a {rule.connective!r} compound"
         )
-    base = b.remove_at(slot, index)
+    context = b.slots()
+    context[slot] = fs[:index] + fs[index + 1 :]
     out = []
     for premiss in rule.premisses:
-        nb = base
+        parts = dict(context)
         for pl in premiss.placements:
-            nb = nb.add(pl.slot, principal.args[pl.arg_index])
-        out.append(nb)
+            parts[pl.slot] += (principal.args[pl.arg_index],)
+        out.append(bisequent(**parts))
     return out
 
 

@@ -2,8 +2,10 @@
 
 Exit codes: 0 for a positive verdict (proved, valid, interpolant found,
 all rules verified), 1 for a negative verdict (refuted or invalid, with
-a countermodel rendered), 2 for usage or input errors, 3 for an
-interpolant that fails its own verification (an internal error).
+a countermodel rendered), 2 for usage or input errors, 3 for an internal
+error: an interpolant that fails its own verification, or any exception
+that is not one of the input errors (a bug, or a recursion limit hit on
+over-deep input).
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .formula import ParseError, parse_formula
 from .logics import (
     _VALUE_BY_SYMBOL,
     SLOTS,
+    EvaluationError,
     LogicDef,
     UnknownLogicError,
     available_logics,
@@ -365,17 +368,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (
         ParseError,
         UnknownLogicError,
+        EvaluationError,
         interpolation.InterpolationError,
         calculus.CatalogError,
         calculus.OccurrenceError,
         prover.ModeMismatchError,
         prover.CutShapeError,
         semantics.AtomLimitError,
-        ValueError,
-        KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -70,13 +70,10 @@ def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:
     out = []
     for leaf in tree.open_leaves():
         node = leaf.node
-        sets = []
-        for slot in ("ant1", "suc1", "ant2", "suc2"):
-            fs = node.slot(slot)
-            if not all(isinstance(f, Atom) for f in fs):
-                raise InterpolationError("open leaf contains a non-atom")
-            sets.append(frozenset(f.name for f in fs))
-        out.append(LeafAtoms(*sets))
+        if not all(isinstance(f, Atom) for _, _, f in node.formulas()):
+            raise InterpolationError("open leaf contains a non-atom")
+        names = (frozenset(f.name for f in fs) for fs in node.slots().values())
+        out.append(LeafAtoms(*names))
     return list(dict.fromkeys(out))
 
 

@@ -89,9 +89,6 @@ class ProofTree:
     def open_leaves(self) -> list["ProofTree"]:
         return [leaf for leaf in self.leaves() if leaf.leaf_status == "open"]
 
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
     def to_text(self, signature=None, indent: str = "") -> str:
         tag = f"[{self.rule}]" if self.rule else f"[{self.leaf_status}]"
         lines = [f"{indent}{render_bisequent(self.node, signature)}   {tag}"]
@@ -165,10 +162,22 @@ def complete_search(
     Identical sub-bisequents share one subtree (multiset equality), which
     cannot change the verdict because the rules are context independent.
     A caller running many searches in one logic may pass a shared ``memo``
-    dictionary to keep the sharing across calls.
+    dictionary to keep the sharing across calls.  Raises
+    ``EvaluationError``, as the oracle does, when ``b`` holds a constant
+    and the logic does not enable constants.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if not logic.constants_enabled:
+        todo = [f for _, _, f in b.formulas()]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, Constant):
+                raise EvaluationError(
+                    f"constants are not enabled in logic {logic.name}"
+                )
+            if isinstance(f, Compound):
+                todo.extend(f.args)
     if memo is None:
         memo = {}
     return _search(logic, catalog(logic), strategy, memo if use_memo else None, b)
@@ -209,8 +218,7 @@ def countermodel_from_leaf(leaf: Bisequent) -> dict[str, Value]:
     """
     if not is_atomic(leaf):
         raise LeafError("leaf is not atomic")
-    ant1, suc1 = set(leaf.first.ant), set(leaf.first.suc)
-    ant2, suc2 = set(leaf.second.ant), set(leaf.second.suc)
+    ant1, suc1, ant2, suc2 = map(set, leaf.slots().values())
     if clashes(ant1, suc1, ant2, suc2):
         raise LeafError("leaf is axiomatic")
 
@@ -277,18 +285,7 @@ def prove_bisequent(
     """Decision procedure on a root bisequent: proved iff the complete
     proof-search tree is axiomatic, otherwise refuted with an assignment
     read off the first open leaf (atoms absent from that branch get u).
-    Raises ``EvaluationError``, as the oracle does, when the root holds a
-    constant and the logic does not enable constants."""
-    if not logic.constants_enabled:
-        todo = [f for _, _, f in root.formulas()]
-        while todo:
-            f = todo.pop()
-            if isinstance(f, Constant):
-                raise EvaluationError(
-                    f"constants are not enabled in logic {logic.name}"
-                )
-            if isinstance(f, Compound):
-                todo.extend(f.args)
+    Raises ``EvaluationError`` as ``complete_search`` does."""
     tree = complete_search(logic, root, strategy, memo=memo)
     opens = tree.open_leaves()
     if not opens:
@@ -360,10 +357,5 @@ def admissible_cut(
         raise CutShapeError(f"unknown cut variant {variant!r}")
     l = _remove_one(left, left_slot, cut_formula)
     r = _remove_one(right, right_slot, cut_formula)
-    conclusion = bisequent(
-        ant1=l.slot("ant1") + r.slot("ant1"),
-        suc1=l.slot("suc1") + r.slot("suc1"),
-        ant2=l.slot("ant2") + r.slot("ant2"),
-        suc2=l.slot("suc2") + r.slot("suc2"),
-    )
+    conclusion = bisequent(**{s: l.slot(s) + r.slot(s) for s in SLOTS})
     return prove_bisequent(logic, conclusion)

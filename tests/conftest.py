@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from trivalent.formula import CONNECTIVES, Atom, Compound, Constant
+from trivalent.formula import (
+    CONNECTIVES, Atom, Compound, Constant, complexity, iter_formulas,
+)
 from trivalent.logics import available_logics, lookup_logic
+from trivalent.prover import designated_mode, goal_bisequent, prove_bisequent
+from trivalent.semantics import matrix_consequence
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -68,6 +73,51 @@ def random_formula(rng: random.Random, signature, atom_names, n_connectives: int
             random_formula(rng, sig, atom_names, n_connectives - 1 - k),
         ),
     )
+
+
+@dataclass
+class LogicSweep:
+    logic: object
+    memo: dict = field(default_factory=dict)
+    n_goals: int = 0
+    proved: list = field(default_factory=list)
+    refuted: list = field(default_factory=list)  # (root, countermodel)
+    disagreements: list = field(default_factory=list)
+    formula_pool: list = field(default_factory=list)
+
+
+def run_sweep(
+    logic, atom_names=("p", "q"), premiss_budget=1, conclusion_budget=2, solo_budget=3
+) -> LogicSweep:
+    """Decide every goal with an empty premiss set and conclusions of at
+    most ``solo_budget`` connectives, plus every single-premiss goal with
+    premisses of at most ``premiss_budget`` and conclusions of at most
+    ``conclusion_budget`` connectives, comparing the proof-search verdict
+    with the matrix oracle on each."""
+    data = LogicSweep(logic)
+    budget = max(premiss_budget, conclusion_budget, solo_budget)
+    by_count: dict[int, list] = {}
+    for f in iter_formulas(logic.signature, atom_names, budget):
+        by_count.setdefault(complexity(f), []).append(f)
+    of_size = lambda n: [f for k in range(n + 1) for f in by_count.get(k, ())]
+    mode = designated_mode(logic)
+    goals = [((), f) for f in of_size(solo_budget)]
+    goals += [
+        ((g,), f) for g in of_size(premiss_budget) for f in of_size(conclusion_budget)
+    ]
+    data.formula_pool = of_size(conclusion_budget)
+    for premisses, conclusion in goals:
+        root = goal_bisequent(logic, mode, premisses, conclusion)
+        result = prove_bisequent(logic, root, memo=data.memo)
+        oracle = matrix_consequence(logic, premisses, conclusion)
+        data.n_goals += 1
+        if result.proved != oracle:
+            data.disagreements.append((premisses, conclusion, result.proved, oracle))
+        if result.proved:
+            data.proved.append(root)
+        else:
+            data.refuted.append((root, result.countermodel))
+    return data
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ criteria 5 and 8 reuse its proved pools and refutations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 import pytest
 
@@ -20,7 +19,7 @@ from trivalent.calculus import (
     verify_axiom_schema,
     verify_rule_schema,
 )
-from trivalent.formula import Compound, complexity, iter_formulas, atoms
+from trivalent.formula import Compound, atoms
 from trivalent.interpolation import (
     NotContingentError,
     interpolate,
@@ -36,13 +35,12 @@ from trivalent.prover import (
     admissible_cut,
     admissible_weaken,
     designated_mode,
-    goal_bisequent,
     prove,
     prove_bisequent,
 )
 from trivalent.semantics import falsifies, matrix_consequence
 
-from conftest import DATA_DIR, random_formula
+from conftest import DATA_DIR, random_formula, run_sweep
 from transcription import load_rules
 
 ALL_LOGICS = available_logics()
@@ -100,56 +98,9 @@ def test_criterion_2_rule_verification():
 # ---------------------------------------------------------------------------
 # Criterion 3: oracle-prover equivalence sweep (shared with 5 and 8)
 
-@dataclass
-class LogicSweep:
-    logic: object
-    memo: dict = field(default_factory=dict)
-    n_goals: int = 0
-    proved: list = field(default_factory=list)
-    refuted: list = field(default_factory=list)  # (root, countermodel)
-    disagreements: list = field(default_factory=list)
-    formula_pool: list = field(default_factory=list)
-
-
-def _formulas_by_count(signature, max_connectives):
-    by_count: dict[int, list] = {}
-    for f in iter_formulas(signature, ("p", "q"), max_connectives):
-        by_count.setdefault(complexity(f), []).append(f)
-    return by_count
-
-
-def _run_sweep(logic, premiss_budget=1, conclusion_budget=2, solo_budget=3) -> LogicSweep:
-    """Decide every goal with an empty premiss set and conclusions of at
-    most ``solo_budget`` connectives, plus every single-premiss goal with
-    premisses of at most ``premiss_budget`` and conclusions of at most
-    ``conclusion_budget`` connectives, comparing the proof-search verdict
-    with the matrix oracle on each."""
-    data = LogicSweep(logic)
-    by_count = _formulas_by_count(logic.signature, solo_budget)
-    of_size = lambda n: [f for k in range(n + 1) for f in by_count.get(k, ())]
-    mode = designated_mode(logic)
-    goals = [((), f) for f in of_size(solo_budget)]
-    goals += [
-        ((g,), f) for g in of_size(premiss_budget) for f in of_size(conclusion_budget)
-    ]
-    data.formula_pool = of_size(conclusion_budget)
-    for premisses, conclusion in goals:
-        root = goal_bisequent(logic, mode, premisses, conclusion)
-        result = prove_bisequent(logic, root, memo=data.memo)
-        oracle = matrix_consequence(logic, premisses, conclusion)
-        data.n_goals += 1
-        if result.proved != oracle:
-            data.disagreements.append((premisses, conclusion, result.proved, oracle))
-        if result.proved:
-            data.proved.append(root)
-        else:
-            data.refuted.append((root, result.countermodel))
-    return data
-
-
 @pytest.fixture(scope="session")
 def sweep():
-    return {name: _run_sweep(lookup_logic(name)) for name in ALL_LOGICS}
+    return {name: run_sweep(lookup_logic(name)) for name in ALL_LOGICS}
 
 
 def test_criterion_3_oracle_prover_equivalence(sweep):
@@ -281,7 +232,9 @@ def test_criterion_6_palasinska_agreement():
     connectives and at most one premiss."""
     goals = 0
     for name in ("Palasinska1", "Palasinska2"):
-        data = _run_sweep(lookup_logic(name), 3, 3, 3)
+        data = run_sweep(
+            lookup_logic(name), premiss_budget=3, conclusion_budget=3, solo_budget=3
+        )
         assert not data.disagreements, (name, data.disagreements[:3])
         goals += data.n_goals
     _report(6, "Palasinska characterisation", f"{goals} goals, exact agreement")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from trivalent.bisequent import (
-    Sequent,
     bisequent,
     clashes,
     is_atomic,
@@ -37,7 +36,8 @@ class TestMultisetSemantics:
         assert hash(bp("p, q => r | =>")) == hash(bp("q, p => r | =>"))
 
     def test_sequents_compare_by_both_sides(self):
-        assert Sequent((Atom("p"),), ()) != Sequent((), (Atom("p"),))
+        assert bisequent(ant1=(Atom("p"),)) != bisequent(suc1=(Atom("p"),))
+        assert bisequent(ant2=(Atom("p"),)) != bisequent(ant1=(Atom("p"),))
 
 
 class TestIsAtomic:
@@ -91,8 +91,8 @@ class TestIsAxiomatic:
         assert clashes({"p"}, set(), set(), {"p"})
         assert not clashes({"p"}, set(), {"p"}, set())
         t = parse_bisequent("=> T | =>", SIG)
-        assert clashes(set(), set(t.first.suc), set(), set())
-        assert not clashes(set(), set(t.first.suc), set(), set(), constants=False)
+        assert clashes(set(), set(t.suc1), set(), set())
+        assert not clashes(set(), set(t.suc1), set(), set(), constants=False)
 
     def test_palasinska_schema(self):
         pal = lookup_logic("Palasinska1")

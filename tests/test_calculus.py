@@ -125,9 +125,32 @@ class TestApplyRule:
     def test_contexts_are_inherited_unchanged(self):
         b = parse_bisequent("p -> q, r => s | t => v", K3.signature)
         rule = rule_for(K3, "impl", "ant1")
-        for premiss in apply_rule(rule, b, ("ant1", 0)):
+        out = apply_rule(rule, b, ("ant1", 0))
+        for premiss in out:
             assert premiss.slot("suc1").count(b.slot("suc1")[0]) == 1
             assert premiss.slot("ant1").count(b.slot("ant1")[1]) == 1
+        assert _slot_texts(out) == [("r q", "s", "t", "v"), ("r", "s", "t", "v p")]
+
+    @pytest.mark.parametrize(
+        "text, connective, occurrence, expected",
+        (
+            ("r, p & q, s => t | =>", "and", ("ant1", 1), ("r s p q", "t", "", "")),
+            ("u => p -> q, s | t => v", "impl", ("suc1", 0), ("u", "s q", "t p", "v")),
+        ),
+    )
+    def test_placements_append_in_order(self, text, connective, occurrence, expected):
+        # the principal occurrence leaves its place; each placement appends
+        # its subformula to its slot, in placement order
+        b = parse_bisequent(text, K3.signature)
+        out = apply_rule(rule_for(K3, connective, occurrence[0]), b, occurrence)
+        assert _slot_texts(out) == [expected]
+
+
+def _slot_texts(premisses):
+    """Each premiss's slots in stored order, one space-joined string each."""
+    return [
+        tuple(" ".join(map(K3.render, p.slot(s))) for s in SLOTS) for p in premisses
+    ]
 
 
 class TestVerifyRuleSchema:

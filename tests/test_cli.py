@@ -68,6 +68,24 @@ class TestProve:
         assert code == 2
         assert "offset 3" in err
 
+    def test_internal_value_error_exits_three(self, capsys, monkeypatch):
+        from trivalent import prover
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(prover, "prove", broken)
+        code, out, err = call(capsys, "prove", "--logic", "K3", "", "p")
+        assert code == 3
+        assert not out
+        assert "internal error" in err
+
+    def test_recursion_limit_is_not_a_refutation(self, capsys):
+        goal = "(" * 600 + "p" + ")" * 600
+        code, _, err = call(capsys, "prove", "--logic", "K3", "", goal)
+        assert code == 3
+        assert "internal error" in err
+
     def test_unknown_logic_exits_two(self, capsys):
         code, _, err = call(capsys, "prove", "--logic", "B4", "", "p")
         assert code == 2

@@ -139,6 +139,14 @@ class TestProve:
             prove_bisequent(K3, bp(goal))
         assert isinstance(prove_bisequent(K3.with_constants(), bp(goal)), Proved)
 
+    @pytest.mark.parametrize("goal", ("U => U | =>", "U => | =>"))
+    def test_complete_search_rejects_constants_too(self, goal):
+        # otherwise the first tree is axiomatic and the second open
+        from trivalent.logics import EvaluationError
+
+        with pytest.raises(EvaluationError, match="constants are not enabled"):
+            complete_search(K3, bp(goal))
+
     def test_branch_local_atoms_default_to_undefined(self):
         # the first open branch never sees q; it is filled in as u
         result = prove(K3, "designated_1", (), K3.parse("p & q"))
