@@ -72,28 +72,30 @@ def _cmd_prove(args) -> int:
     premisses, conclusion = _parse_goal(logic, args.premisses, args.conclusion)
     mode = _mode_for(logic, args.mode)
     result = prover.prove(logic, mode, premisses, conclusion)
-    payload = {
-        "command": "prove",
-        "logic": logic.name,
-        "mode": mode,
-        "premisses": [logic.render(p) for p in premisses],
-        "conclusion": logic.render(conclusion),
-        "verdict": "proved" if result.proved else "refuted",
-        "proof": result.tree.to_dict(logic.signature),
-    }
-    if result.proved:
-        _emit(args, payload, f"proved\n{result.tree.to_text(logic.signature)}")
-        return 0
-    payload["countermodel"] = {
-        a: v.value for a, v in result.countermodel.items()
-    }
-    _emit(
-        args,
-        payload,
-        f"refuted\ncountermodel: {_render_countermodel(result.countermodel)}\n"
-        f"{result.tree.to_text(logic.signature)}",
-    )
-    return 1
+    verdict = "proved" if result.proved else "refuted"
+    # each output format renders the proof once, and only its own format
+    if args.json:
+        payload = {
+            "command": "prove",
+            "logic": logic.name,
+            "mode": mode,
+            "premisses": [logic.render(p) for p in premisses],
+            "conclusion": logic.render(conclusion),
+            "verdict": verdict,
+            "proof": result.tree.to_dict(logic.signature),
+        }
+        if not result.proved:
+            payload["countermodel"] = {
+                a: v.value for a, v in result.countermodel.items()
+            }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        lines = [verdict]
+        if not result.proved:
+            lines.append(f"countermodel: {_render_countermodel(result.countermodel)}")
+        lines.append(result.tree.to_text(logic.signature))
+        print("\n".join(lines))
+    return 0 if result.proved else 1
 
 
 def _cmd_check_semantic(args) -> int:

@@ -1,4 +1,4 @@
-"""Interpolant construction from complete proof-search trees.
+"""Interpolant construction from proof searches run to completion.
 
 For an entailment between contingent formulas, the open (nonaxiomatic
 atomic) leaves of separate proof-search trees for the two formulas
@@ -20,7 +20,7 @@ from typing import Sequence
 from .bisequent import Bisequent, bisequent, clashes
 from .formula import Atom, Compound, Formula, atoms
 from .logics import LogicDef
-from .prover import complete_search, designated_mode, prove
+from .prover import _complete_tree, designated_mode, prove
 from .semantics import DEFAULT_ATOM_CAP, matrix_consequence
 
 __all__ = [
@@ -63,13 +63,20 @@ class LeafAtoms:
 
 
 def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:
-    """The distinct open leaves of the search tree, in order of first
-    occurrence: the tree shares subtrees, and a leaf reached along two
-    paths would otherwise give the interpolant a repeated disjunct."""
-    tree = complete_search(logic, root)
+    """The distinct open leaves of the search run to completion, in order
+    of first occurrence.  The memo holds each distinct node once, and a
+    leaf enters it when the search first reaches it, so reading the open
+    leaves off the memo visits every shared subtree once; a leaf reached
+    along two paths would otherwise give the interpolant a repeated
+    disjunct.  Leaves that differ only in multiplicities give the same
+    atom sets, and those are merged as well."""
+    memo: dict = {}
+    _complete_tree(logic, root, memo)
     out = []
-    for leaf in tree.open_leaves():
-        node = leaf.node
+    for tree in memo.values():
+        if tree.leaf_status != "open":
+            continue
+        node = tree.node
         if not all(isinstance(f, Atom) for _, _, f in node.formulas()):
             raise InterpolationError("open leaf contains a non-atom")
         names = (frozenset(f.name for f in fs) for fs in node.slots().values())

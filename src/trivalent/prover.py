@@ -1,12 +1,21 @@
 """Backward proof search over bisequents.
 
-``complete_search`` grows a proof-search tree until no rule applies on
-any leaf; because every rule trades a formula occurrence for proper
-subformula occurrences the search terminates.  All rules are invertible,
-so the verdict does not depend on the order of rule applications; the
-principal occurrence is nevertheless chosen deterministically to keep
-proof objects reproducible.  An open leaf yields a countermodel that
-falsifies the whole branch down to the root.
+The search runs until the verdict is settled.  A node with a clash (an
+axiomatic node) is a closed leaf at once, before any rule decomposes it;
+every other node is decomposed at one occurrence, and its premisses are
+searched in order until the first one whose subtree is open.  Both
+shortcuts keep the verdict because every rule is invertible: no
+assignment falsifies an axiomatic node, so its full subtree would have
+only axiomatic leaves, and the premisses after the first open one cannot
+close the node again.  The
+first open leaf is therefore the one a complete search would list
+first, and it sits at the end of the explored tree's rightmost path.
+Every rule trades a formula occurrence for proper subformula
+occurrences, so the search terminates.  The verdict does not depend on
+the order of rule applications; the principal occurrence is nevertheless
+chosen deterministically to keep proof objects and countermodels
+reproducible.  An open leaf yields a countermodel that falsifies the
+whole branch down to the root.
 """
 from __future__ import annotations
 
@@ -157,7 +166,14 @@ def complete_search(
     use_memo: bool = True,
     memo: dict[Bisequent, ProofTree] | None = None,
 ) -> ProofTree:
-    """Extend ``b`` to a complete proof-search tree.
+    """Search ``b`` until its verdict is settled.
+
+    A provable ``b`` gets a proof: every leaf is axiomatic.  Otherwise the
+    tree is the search explored up to the first open leaf, which ends its
+    rightmost path; premisses after the first open one are left out.  The
+    name dates from when the search built every branch, and it stays so
+    that callers that reach the search by name, the benchmark's tracing
+    wrapper among them, keep working.
 
     Identical sub-bisequents share one subtree (multiset equality), which
     cannot change the verdict because the rules are context independent.
@@ -168,19 +184,42 @@ def complete_search(
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not logic.constants_enabled:
-        todo = [f for _, _, f in b.formulas()]
-        while todo:
-            f = todo.pop()
-            if isinstance(f, Constant):
-                raise EvaluationError(
-                    f"constants are not enabled in logic {logic.name}"
-                )
-            if isinstance(f, Compound):
-                todo.extend(f.args)
+    _reject_undeclared_constants(logic, b)
     if memo is None:
         memo = {}
     return _search(logic, catalog(logic), strategy, memo if use_memo else None, b)
+
+
+def _complete_tree(
+    logic: LogicDef, b: Bisequent, memo: dict[Bisequent, ProofTree]
+) -> ProofTree:
+    """``b``'s search run to completion: every premiss of every decomposed
+    node is explored, so the tree holds every open leaf.  Interpolation
+    needs them all.  ``memo`` must not be shared with ``complete_search``,
+    whose trees stop at the first open leaf."""
+    _reject_undeclared_constants(logic, b)
+    return _search(logic, catalog(logic), "leftmost", memo, b, to_completion=True)
+
+
+def _reject_undeclared_constants(logic: LogicDef, b: Bisequent) -> None:
+    if logic.constants_enabled:
+        return
+    todo = [f for _, _, f in b.formulas()]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Constant):
+            raise EvaluationError(f"constants are not enabled in logic {logic.name}")
+        if isinstance(f, Compound):
+            todo.extend(f.args)
+
+
+def _last_leaf(tree: ProofTree) -> ProofTree:
+    """The leaf at the end of the rightmost path.  In a tree that stopped
+    at its first open leaf, this is that leaf if the tree is open, and an
+    axiomatic leaf otherwise."""
+    while tree.children:
+        tree = tree.children[-1]
+    return tree
 
 
 def _search(
@@ -189,20 +228,25 @@ def _search(
     strategy: str,
     memo: dict[Bisequent, ProofTree] | None,
     node: Bisequent,
+    to_completion: bool = False,
 ) -> ProofTree:
     # a module-level function rather than a closure over itself, so that no
     # reference cycle keeps the memo alive after the search returns
     if memo is not None and node in memo:
         return memo[node]
-    picked = _select_occurrence(cat, node, strategy)
-    if picked is None:
-        status = "axiomatic" if is_axiomatic(logic, node) else "open"
-        tree = ProofTree(node, None, None, (), status)
+    if is_axiomatic(logic, node):
+        tree = ProofTree(node, None, None, (), "axiomatic")
+    elif (picked := _select_occurrence(cat, node, strategy)) is None:
+        tree = ProofTree(node, None, None, (), "open")
     else:
         slot, index, rule = picked
-        premisses = apply_rule(rule, node, (slot, index))
-        children = tuple(_search(logic, cat, strategy, memo, p) for p in premisses)
-        tree = ProofTree(node, rule.name, (slot, index), children, None)
+        children = []
+        for premiss in apply_rule(rule, node, (slot, index)):
+            child = _search(logic, cat, strategy, memo, premiss, to_completion)
+            children.append(child)
+            if not to_completion and _last_leaf(child).leaf_status == "open":
+                break
+        tree = ProofTree(node, rule.name, (slot, index), tuple(children), None)
     if memo is not None:
         memo[node] = tree
     return tree
@@ -282,15 +326,15 @@ def prove_bisequent(
     strategy: str = "leftmost",
     memo: dict[Bisequent, ProofTree] | None = None,
 ) -> SearchResult:
-    """Decision procedure on a root bisequent: proved iff the complete
-    proof-search tree is axiomatic, otherwise refuted with an assignment
-    read off the first open leaf (atoms absent from that branch get u).
-    Raises ``EvaluationError`` as ``complete_search`` does."""
+    """Decision procedure on a root bisequent: proved iff the search
+    closes every branch, otherwise refuted with an assignment read off the
+    first open leaf (atoms absent from that branch get u).  Raises
+    ``EvaluationError`` as ``complete_search`` does."""
     tree = complete_search(logic, root, strategy, memo=memo)
-    opens = tree.open_leaves()
-    if not opens:
+    leaf = _last_leaf(tree)
+    if leaf.leaf_status == "axiomatic":
         return Proved(tree)
-    assignment = countermodel_from_leaf(opens[0].node)
+    assignment = countermodel_from_leaf(leaf.node)
     for name in sorted(bisequent_atoms(root)):
         assignment.setdefault(name, Value.UNDEF)
     return Refuted(tree, dict(sorted(assignment.items())))

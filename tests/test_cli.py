@@ -63,6 +63,38 @@ class TestProve:
             "    p, q => q, r |  =>   [axiomatic]\n"
         )
 
+    def test_refutation_prints_the_search_up_to_the_first_open_leaf(self, capsys):
+        code, out, _ = call(capsys, "prove", "--logic", "K3", "p | q", "q & p")
+        assert code == 1
+        assert out == (
+            "refuted\n"
+            "countermodel: p=1, q=0\n"
+            "p | q => q & p |  =>   [or.ant1]\n"
+            "  p => q & p |  =>   [and.suc1]\n"
+            "    p => q |  =>   [open]\n"
+        )
+
+    def test_each_format_renders_the_proof_once(self, capsys, monkeypatch):
+        from trivalent.prover import ProofTree
+
+        calls = []
+        for name in ("to_text", "to_dict"):
+            original = getattr(ProofTree, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(ProofTree, name, counted)
+        # counts include the recursive calls on subtrees
+        for goal in (("p, p->q", "q"), ("", "p | ~p")):
+            call(capsys, "prove", "--logic", "K3", *goal)
+            assert set(calls) == {"to_text"}
+            calls.clear()
+            call(capsys, "prove", "--logic", "K3", "--json", *goal)
+            assert set(calls) == {"to_dict"}
+            calls.clear()
+
     def test_parse_error_exits_two(self, capsys):
         code, _, err = call(capsys, "prove", "--logic", "K3", "p &", "q")
         assert code == 2

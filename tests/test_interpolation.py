@@ -18,7 +18,7 @@ from trivalent.interpolation import (
     verify_interpolant,
 )
 from trivalent.logics import lookup_logic
-from trivalent.prover import complete_search
+from trivalent.prover import _complete_tree
 from trivalent.semantics import matrix_consequence
 
 from conftest import random_formula
@@ -69,7 +69,7 @@ class TestInterpolate:
     def test_shared_subtree_gives_no_repeated_disjunct(self):
         # the left tree reaches the leaf "p, q =>" along two paths
         phi, psi = I1.parse("(p | q) & (p | q)"), I1.parse("p | q")
-        leaves = complete_search(I1, bisequent(ant1=(phi,))).open_leaves()
+        leaves = _complete_tree(I1, bisequent(ant1=(phi,)), {}).open_leaves()
         assert len({id(leaf) for leaf in leaves}) < len(leaves)
         inter = interpolate(I1, phi, psi)
         disjuncts, todo = [], [inter]

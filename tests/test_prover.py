@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from trivalent.bisequent import bisequent, parse_bisequent
+from trivalent.bisequent import bisequent, is_atomic, parse_bisequent
 from trivalent.calculus import apply_rule, catalog
 from trivalent.formula import Atom, Compound, complexity
 from trivalent.logics import Value, lookup_logic
@@ -18,6 +18,7 @@ from trivalent.prover import (
     Refuted,
     admissible_cut,
     admissible_weaken,
+    _complete_tree,
     complete_search,
     countermodel_from_leaf,
     designated_mode,
@@ -27,7 +28,7 @@ from trivalent.prover import (
 )
 from trivalent.semantics import bisequent_valid, falsifies, matrix_consequence
 
-from conftest import CORE_LOGICS, formulas, random_formula
+from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -58,12 +59,17 @@ class TestCompleteSearch:
         rules = {t.rule for t in _nodes(tree) if t.rule}
         assert rules == {"or.suc2", "neg.suc2"}
 
-    def test_every_leaf_is_atomic(self):
-        tree = complete_search(K3, bp("p -> (q | ~p) => q & p | p => ~q"))
-        for leaf in tree.leaves():
-            assert all(
-                not isinstance(f, Compound) for _, _, f in leaf.node.formulas()
-            )
+    def test_open_leaves_are_atomic_and_compound_leaves_axiomatic(self):
+        b = bp("p -> (q | ~p) => q & p | p => ~q")
+        compound = 0
+        for tree in (complete_search(K3, b), _complete_tree(K3, b, {})):
+            for leaf in tree.leaves():
+                if leaf.leaf_status == "open":
+                    assert is_atomic(leaf.node)
+                elif not is_atomic(leaf.node):
+                    assert leaf.leaf_status == "axiomatic"
+                    compound += 1
+        assert compound  # the clash on p closes a node before it is decomposed
 
     def test_palasinska_axiom_leaf_may_stay_compound(self):
         pal = lookup_logic("Palasinska1")
@@ -73,7 +79,7 @@ class TestCompleteSearch:
     def test_children_are_exactly_the_rule_premisses(self):
         from trivalent.calculus import rule_for
 
-        tree = complete_search(K3, bp("p -> q => p & q | r => ~r"))
+        tree = _complete_tree(K3, bp("p -> q => p & q | r => ~r"), {})
         stack = [tree]
         while stack:
             node = stack.pop()
@@ -88,6 +94,34 @@ class TestCompleteSearch:
             assert [c.node for c in node.children] == premisses
             stack.extend(node.children)
 
+    @pytest.mark.parametrize("name", ("K3", "L3", "PWK", "P3"))
+    def test_search_stops_after_the_first_open_premiss(self, name):
+        logic = lookup_logic(name)
+        cat = catalog(logic)
+        rng = random.Random(f"first-open:{name}")
+        roots = [bp("=> p & q | =>")] if name == "K3" else []
+        roots += [
+            goal_bisequent(logic, designated_mode(logic),
+                           (random_formula(rng, logic.signature, "pqr", 3),),
+                           random_formula(rng, logic.signature, "pqr", 3))
+            for _ in range(30)
+        ]
+        refuted = 0
+        for root in roots:
+            tree = complete_search(logic, root)
+            refuted += _is_open(tree)
+            for node in _distinct(tree):
+                if node.is_leaf:
+                    continue
+                f = node.node.slot(node.occurrence[0])[node.occurrence[1]]
+                rule = cat.rule_for(f.connective, node.occurrence[0])
+                premisses = apply_rule(rule, node.node, node.occurrence)
+                assert [c.node for c in node.children] == premisses[:len(node.children)]
+                assert not any(_is_open(c) for c in node.children[:-1])
+                if not _is_open(node.children[-1]):
+                    assert len(node.children) == len(premisses)
+        assert refuted
+
     def test_memoisation_shares_subtrees(self):
         b = bp("=> p & p | p & p =>")
         tree = complete_search(K3, b)
@@ -101,6 +135,40 @@ def _nodes(tree):
     yield tree
     for c in tree.children:
         yield from _nodes(c)
+
+
+def _distinct(tree):
+    """Each distinct subtree of a memo-shared tree once."""
+    seen, todo = {}, [tree]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t.children)
+    return list(seen.values())
+
+
+def _is_open(tree):
+    return any(leaf.leaf_status == "open" for leaf in tree.leaves())
+
+
+@pytest.mark.parametrize("name", ALL_LOGICS)
+def test_early_closure_is_sound(name):
+    """A node closed before decomposition has no falsifying assignment, so
+    the subtree the search skips would have had no open leaf."""
+    logic = lookup_logic(name)
+    mode = designated_mode(logic)
+    rng = random.Random(f"closure:{name}")
+    closed = 0
+    for _ in range(40):
+        premiss = random_formula(rng, logic.signature, "pqr", rng.randint(2, 4))
+        conclusion = random_formula(rng, logic.signature, "pqr", rng.randint(2, 4))
+        tree = prove(logic, mode, (premiss,), conclusion).tree
+        for node in _distinct(tree):
+            if node.leaf_status == "axiomatic" and not is_atomic(node.node):
+                assert bisequent_valid(logic, node.node)
+                closed += 1
+    assert closed
 
 
 class TestProve:
@@ -179,7 +247,7 @@ class TestCountermodelFromLeaf:
     @given(formulas(K3.signature, atom_names=("p", "q"), max_leaves=4))
     @settings(max_examples=60)
     def test_open_leaves_yield_genuine_falsifiers(self, f):
-        tree = complete_search(K3, bisequent(suc1=(f,), ant2=(f,)))
+        tree = _complete_tree(K3, bisequent(suc1=(f,), ant2=(f,)), {})
         for leaf in tree.open_leaves():
             h = countermodel_from_leaf(leaf.node)
             assert falsifies(K3, h, leaf.node)
@@ -407,3 +475,54 @@ def test_search_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert not result.proved
+
+
+#: (logic, premiss, conclusion, countermodel or None for proved), captured
+#: from the search as it stood before early closure and the stop at the
+#: first open leaf; a change of the selection order shows up here as a diff
+GOLDEN_COUNTERMODELS = (
+    ("L3", "~((r | r) & (r | r)) | s", "~(p or_l (s & (p & s) or_l r))", 'p=1 r=0 s=u'),
+    ("L3", "s or_l s & r | (p | r & p)", "s | ~(~(r or_l q) -> s)", 'p=u q=u r=1 s=u'),
+    ("L3", "q -> ~(q and_l r) & (q and_l r)", "p and_l ((q and_l (q or_l p) -> p) and_l s)", 'p=0 q=0 r=u s=u'),
+    ("L3", "(p -> q) and_l ~(q | r or_l r)", "(s -> r & s) | (s -> s & q)", 'p=0 q=0 r=0 s=1'),
+    ("L3", "~~(s & ~r -> q)", "(p and_l (p & r) -> r) | (q | p)", None),
+    ("L3", "p and_l (q | (r or_l r | ~r))", "s and_l (q | s or_l s) | (r -> q)", 'p=1 q=0 r=1 s=0'),
+    ("L3", "r and_l p -> p | q | (q | p)", "~~((q | p) and_l p & s)", 'p=1 q=u r=u s=0'),
+    ("L3", "~(p & (q and_l q)) -> ~p", "~(p | (r & r or_l p & p))", 'p=0 q=u r=1'),
+    ("PWK", "(q -> r) -> r & q", "~(q | (q -> s))", 'q=1 r=1 s=1'),
+    ("PWK", "(p -> s) & (r -> p)", "q | q -> q & r", 'p=1 q=1 r=0 s=1'),
+    ("PWK", "q & p -> ~s", "r -> r | r | r", None),
+    ("PWK", "~(r -> p -> s)", "(p | p) & (r -> r)", 'p=0 r=1 s=u'),
+    ("PWK", "~(q & s | q)", "(p -> ~q) -> r", 'p=1 q=0 r=0 s=u'),
+    ("PWK", "r & p -> r -> q", "~~(s | r)", 'p=u q=1 r=0 s=0'),
+    ("PWK", "q & (r -> q) & s", "r -> ~(r | p)", 'p=1 q=1 r=1 s=1'),
+    ("PWK", "q | ((p -> q) -> p)", "r & s & p & s", 'p=0 q=1 r=1 s=1'),
+    ("K3w", "q & q & (r -> s)", "s | (p -> p | q)", 'p=u q=1 r=1 s=1'),
+    ("K3w", "(q -> r) -> r -> s", "~(q & q) & s", 'q=1 r=1 s=1'),
+    ("K3w", "~((q -> p) -> s)", "(s -> q) | q & q", None),
+    ("K3w", "~((q -> r) -> q)", "r | (~s -> p)", 'p=0 q=0 r=0 s=0'),
+    ("K3w", "~~~r", "(s | r -> p) | s", 'p=u r=0 s=1'),
+    ("K3w", "q | r | q -> q", "p -> s | (q -> s)", 'p=1 q=1 r=1 s=u'),
+    ("K3w", "p | s & (r & s)", "r | ~~r", 'p=1 r=0 s=1'),
+    ("K3w", "p & (q | (r -> s))", "~~~s", 'p=1 q=1 r=1 s=1'),
+    ("P3", "~(q | (p | ~s)) | ~q", "p | (~~~(r | r) | p)", 'p=0 q=0 r=0 s=u'),
+    ("P3", "~(r | ~q) | (p | s | q)", "~s | (p | (r | ~~s))", 'p=0 q=u r=0 s=1'),
+    ("P3", "r | (s | p) | ~~(r | s)", "~~(q | q | q) | ~p", 'p=1 q=1 r=1 s=u'),
+    ("P3", "p | (s | s) | ~~(q | q)", "~(~q | s | ~~p)", 'p=1 q=1 s=u'),
+    ("P3", "~(~s | (~q | ~q))", "~~(q | r) | ~(s | p)", 'p=u q=u r=1 s=u'),
+    ("P3", "~(p | (p | (s | p) | (q | s)))", "~~(r | ~q | ~s)", 'p=0 q=0 r=1 s=0'),
+    ("P3", "~~(~(~s | q) | r)", "~(q | (p | (~s | q))) | r", 'p=u q=1 r=0 s=0'),
+    ("P3", "~(q | ~r | (q | (p | q)))", "~(s | ~q | ~(r | r))", 'p=0 q=0 r=u s=1'),
+)
+
+
+def test_golden_countermodels():
+    got = []
+    for name, premiss, conclusion, _ in GOLDEN_COUNTERMODELS:
+        logic = lookup_logic(name)
+        result = prove(logic, designated_mode(logic), (logic.parse(premiss),),
+                       logic.parse(conclusion))
+        model = None if result.proved else " ".join(
+            f"{a}={v.value}" for a, v in result.countermodel.items())
+        got.append((name, premiss, conclusion, model))
+    assert got == list(GOLDEN_COUNTERMODELS)
