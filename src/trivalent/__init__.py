@@ -20,8 +20,6 @@ from .prover import (
     ProofTree,
     Proved,
     Refuted,
-    admissible_cut,
-    admissible_weaken,
     complete_search,
     countermodel_from_leaf,
     prove,

@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bisequent import Bisequent, bisequent
-from .formula import CONNECTIVES, Compound
+from .bisequent import Bisequent
+from .formula import CONNECTIVES, Compound, argument_keys
 from .logics import (
     SLOTS,
     LogicDef,
@@ -176,7 +176,9 @@ def apply_rule(
 ) -> list[Bisequent]:
     """One premiss bisequent per premiss schema: the principal occurrence
     is removed, each placement appends its immediate subformula to its
-    slot in placement order, contexts are copied unchanged."""
+    slot in placement order, contexts are copied unchanged.  The keys
+    follow the formulas: a subformula's key is read off the principal's
+    key, so no premiss computes a structural key."""
     slot, index = occurrence
     if slot != rule.principal_slot:
         raise OccurrenceError(
@@ -191,14 +193,21 @@ def apply_rule(
         raise OccurrenceError(
             f"formula at {slot}[{index}] is not a {rule.connective!r} compound"
         )
-    context = b.slots()
-    context[slot] = fs[:index] + fs[index + 1 :]
+    i = SLOTS.index(slot)
+    ks = b.keys[i]
+    arg_keys = argument_keys(ks[index])
+    formulas = [b.ant1, b.suc1, b.ant2, b.suc2]
+    keys = list(b.keys)
+    formulas[i] = fs[:index] + fs[index + 1 :]
+    keys[i] = ks[:index] + ks[index + 1 :]
     out = []
     for premiss in rule.premisses:
-        parts = dict(context)
+        pf, pk = formulas.copy(), keys.copy()
         for pl in premiss.placements:
-            parts[pl.slot] += (principal.args[pl.arg_index],)
-        out.append(bisequent(**parts))
+            j = SLOTS.index(pl.slot)
+            pf[j] += (principal.args[pl.arg_index],)
+            pk[j] += (arg_keys[pl.arg_index],)
+        out.append(b.derive(pf, pk))
     return out
 
 

@@ -375,7 +375,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         calculus.CatalogError,
         calculus.OccurrenceError,
         prover.ModeMismatchError,
-        prover.CutShapeError,
         semantics.AtomLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ __all__ = [
     "RenderError",
     "UnknownConnectiveError",
     "CONNECTIVES",
+    "MAX_NESTING",
+    "argument_keys",
     "atoms",
     "complexity",
     "connectives_of",
@@ -184,6 +186,11 @@ def structural_key(f: Formula):
     return ("2comp", f.connective) + tuple(structural_key(a) for a in f.args)
 
 
+def argument_keys(key: tuple) -> tuple:
+    """The ``structural_key`` of each argument, read off a compound's key."""
+    return key[2:]
+
+
 # ---------------------------------------------------------------------------
 # Token resolution relative to a signature
 
@@ -225,6 +232,12 @@ def _token_map(signature: frozenset[str]) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
+#: deepest nesting of parentheses, prefix operators and right-nested
+#: implications the parser accepts: deeper input is a ``ParseError``, not
+#: a ``RecursionError`` in the parser or in the recursive functions that
+#: walk the formula later
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"->|[~&|(),]|[a-zA-Z][a-zA-Z0-9_]*")
 _WS_RE = re.compile(r"\s*")
 
@@ -250,6 +263,7 @@ class _Parser:
         self.signature = signature
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -265,6 +279,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def _nested(self, parse, position: int) -> Formula:
+        """``parse()`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nested more than {MAX_NESTING} levels deep", position)
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def _generic(self, token: str, position: int) -> str:
         target = _resolve_generic(token, self.signature)
@@ -284,7 +307,7 @@ class _Parser:
         if self._peek() == "->":
             _, at = self._next()
             cid = self._generic("->", at)
-            right = self.parse_impl()  # right-associative
+            right = self._nested(self.parse_impl, at)  # right-associative
             return Compound(cid, (left, right))
         return left
 
@@ -317,17 +340,17 @@ class _Parser:
         if tok == "~":
             _, at = self._next()
             cid = self._generic("~", at)
-            return Compound(cid, (self.parse_prefix(),))
+            return Compound(cid, (self._nested(self.parse_prefix, at),))
         if tok in ("neg_h", "neg_b", "neg_p", "neg_dp", "box", "dia"):
             token, at = self._next()
             cid = self._keyword_or_generic(token, at)
-            return Compound(cid, (self.parse_prefix(),))
+            return Compound(cid, (self._nested(self.parse_prefix, at),))
         return self.parse_primary()
 
     def parse_primary(self) -> Formula:
         tok, at = self._next()
         if tok == "(":
-            f = self.parse_impl()
+            f = self._nested(self.parse_impl, at)
             if self._peek() != ")":
                 raise ParseError("expected ')'", self._here())
             self._next()

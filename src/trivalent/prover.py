@@ -38,15 +38,12 @@ from .logics import EvaluationError, LogicDef, Value
 
 __all__ = [
     "GOAL_MODES",
-    "CutShapeError",
     "LeafError",
     "ModeMismatchError",
     "ProofTree",
     "Proved",
     "Refuted",
     "SearchResult",
-    "admissible_cut",
-    "admissible_weaken",
     "complete_search",
     "countermodel_from_leaf",
     "designated_mode",
@@ -68,11 +65,7 @@ class LeafError(ValueError):
     pass
 
 
-class CutShapeError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofTree:
     node: Bisequent
     rule: str | None
@@ -83,10 +76,6 @@ class ProofTree:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    @property
-    def is_proof(self) -> bool:
-        return all(leaf.leaf_status == "axiomatic" for leaf in self.leaves())
 
     def leaves(self) -> Iterator["ProofTree"]:
         if self.is_leaf:
@@ -232,8 +221,8 @@ def _search(
 ) -> ProofTree:
     # a module-level function rather than a closure over itself, so that no
     # reference cycle keeps the memo alive after the search returns
-    if memo is not None and node in memo:
-        return memo[node]
+    if memo is not None and (tree := memo.get(node)) is not None:
+        return tree
     if is_axiomatic(logic, node):
         tree = ProofTree(node, None, None, (), "axiomatic")
     elif (picked := _select_occurrence(cat, node, strategy)) is None:
@@ -350,56 +339,3 @@ def prove(
     return prove_bisequent(
         logic, goal_bisequent(logic, mode, premisses, conclusion), strategy
     )
-
-
-# ---------------------------------------------------------------------------
-# Structural-rule helpers (admissibility realised by re-proof)
-
-def admissible_weaken(
-    logic: LogicDef,
-    proved: Bisequent,
-    additions: Mapping[str, Iterable[Formula]],
-) -> SearchResult:
-    """Re-prove a proved bisequent with extra formulas in any slots."""
-    weakened = proved
-    for slot, formulas in additions.items():
-        weakened = weakened.add(slot, *tuple(formulas))
-    return prove_bisequent(logic, weakened)
-
-
-def _remove_one(b: Bisequent, slot: str, f: Formula) -> Bisequent:
-    fs = b.slot(slot)
-    try:
-        index = fs.index(f)
-    except ValueError:
-        raise CutShapeError(
-            f"cut formula not found in {slot}: {render_bisequent(b)}"
-        ) from None
-    return b.remove_at(slot, index)
-
-
-def admissible_cut(
-    logic: LogicDef,
-    left: Bisequent,
-    right: Bisequent,
-    cut_formula: Formula,
-    variant: str,
-) -> SearchResult:
-    """Form the cut conclusion and re-prove it.
-
-    ``cut1`` cuts a formula sitting in the first-sequent succedent of the
-    left premiss and the first-sequent antecedent of the right premiss;
-    ``cut2`` does the same on the second sequent.  Contexts are joined by
-    multiset union.  With both premisses provable the conclusion must be
-    provable again (cut admissibility).
-    """
-    if variant == "cut1":
-        left_slot, right_slot = "suc1", "ant1"
-    elif variant == "cut2":
-        left_slot, right_slot = "suc2", "ant2"
-    else:
-        raise CutShapeError(f"unknown cut variant {variant!r}")
-    l = _remove_one(left, left_slot, cut_formula)
-    r = _remove_one(right, right_slot, cut_formula)
-    conclusion = bisequent(**{s: l.slot(s) + r.slot(s) for s in SLOTS})
-    return prove_bisequent(logic, conclusion)

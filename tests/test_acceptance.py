@@ -32,8 +32,6 @@ from trivalent.logics import (
     tables,
 )
 from trivalent.prover import (
-    admissible_cut,
-    admissible_weaken,
     designated_mode,
     prove,
     prove_bisequent,
@@ -41,6 +39,7 @@ from trivalent.prover import (
 from trivalent.semantics import falsifies, matrix_consequence
 
 from conftest import DATA_DIR, random_formula, run_sweep
+from structural import admissible_cut, admissible_weaken
 from transcription import load_rules
 
 ALL_LOGICS = available_logics()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from trivalent import prover
 from trivalent.bisequent import (
     bisequent,
     clashes,
@@ -11,11 +14,13 @@ from trivalent.bisequent import (
     parse_bisequent,
     render_bisequent,
 )
-from trivalent.formula import Atom, ParseError
+from trivalent.calculus import apply_rule
+from trivalent.formula import Atom, Compound, Constant, ParseError
 from trivalent.logics import lookup_logic
+from trivalent.prover import _complete_tree, complete_search
 from trivalent.semantics import bisequent_valid
 
-from conftest import CORE_LOGICS, formulas
+from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
 
 K3 = lookup_logic("K3")
 SIG = K3.signature
@@ -83,6 +88,7 @@ class TestIsAxiomatic:
         assert is_axiomatic(k3c, parse_bisequent("=> | F =>", sig))
         assert is_axiomatic(k3c, parse_bisequent("U => | =>", sig))
         assert is_axiomatic(k3c, parse_bisequent("=> | => U", sig))
+        assert is_axiomatic(k3c, parse_bisequent("U => U | =>", sig))
         # without the opt-in these are plain open leaves
         assert not is_axiomatic(K3, parse_bisequent("=> T | =>", sig))
 
@@ -104,9 +110,6 @@ class TestIsAxiomatic:
         b = bp("p => p | =>")
         weakened = b.add("ant2", Atom("r")).add("suc1", Atom("s"))
         assert is_axiomatic(K3, weakened)
-
-
-from conftest import ALL_LOGICS
 
 
 @pytest.mark.parametrize("name", ALL_LOGICS)
@@ -158,3 +161,72 @@ class TestTextFormat:
         with pytest.raises(ParseError) as exc:
             bp("p => q | r => s &")
         assert exc.value.position == 17
+
+
+def _with_constants(rng, f):
+    """``f`` with about a quarter of its atom leaves replaced by constants."""
+    if isinstance(f, Atom):
+        return Constant(rng.choice(("top", "bottom", "undef"))) if rng.random() < 0.25 else f
+    if isinstance(f, Compound):
+        return Compound(f.connective, tuple(_with_constants(rng, a) for a in f.args))
+    return f
+
+
+def _reference_axiomatic(logic, b):
+    """``is_axiomatic`` spelled out on sets of formulas."""
+    ant1, suc1, ant2, suc2 = (set(fs) for fs in (b.ant1, b.suc1, b.ant2, b.suc2))
+    if ant1 & suc1 or ant1 & suc2 or ant2 & suc2:
+        return True
+    top, bottom, undef = Constant("top"), Constant("bottom"), Constant("undef")
+    if logic.constants_enabled and (
+        top in suc1 | suc2 or bottom in ant1 | ant2 or undef in ant1 | suc2
+    ):
+        return True
+    return any(
+        isinstance(f, Compound) and f.connective == cid
+        for cid, slot in logic.extra_axiom_schemata
+        for f in b.slot(slot)
+    )
+
+
+@pytest.mark.parametrize("constants", (False, True), ids=("plain", "constants"))
+@pytest.mark.parametrize("name", ALL_LOGICS)
+def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatch):
+    """Every premiss the search gets from ``apply_rule`` carries the keys,
+    canonical key and hash that building it from its formulas gives, and
+    the axiom test on its keys agrees with a test on formula sets."""
+    logic = lookup_logic(name)
+    if constants:
+        logic = logic.with_constants()
+    premisses = []
+
+    def recording(rule, b, occurrence):
+        out = apply_rule(rule, b, occurrence)
+        premisses.extend(out)
+        return out
+
+    monkeypatch.setattr(prover, "apply_rule", recording)
+    rng = random.Random(f"keys:{name}:{constants}")
+    for _ in range(20):
+        sides = [
+            random_formula(rng, logic.signature, ("p", "q", "r"), rng.randint(1, 5))
+            for _ in range(2)
+        ]
+        if constants:
+            sides = [_with_constants(rng, f) for f in sides]
+        slots = rng.sample(("ant1", "suc1", "ant2", "suc2"), 2)
+        _complete_tree(logic, bisequent(**dict(zip(slots, [[f] for f in sides]))), {})
+    assert len(premisses) > 50
+    for premiss in premisses:
+        fresh = bisequent(**premiss.slots())
+        assert premiss.keys == fresh.keys
+        assert premiss._key == fresh._key and hash(premiss) == hash(fresh)
+        assert premiss == fresh
+        assert is_axiomatic(logic, premiss) == _reference_axiomatic(logic, premiss)
+
+
+def test_records_have_no_instance_dict():
+    b = bp("p => q | =>")
+    tree = complete_search(K3, b)
+    for record in (b, tree):
+        assert not hasattr(record, "__dict__")

@@ -114,9 +114,22 @@ class TestProve:
 
     def test_recursion_limit_is_not_a_refutation(self, capsys):
         goal = "(" * 600 + "p" + ")" * 600
-        code, _, err = call(capsys, "prove", "--logic", "K3", "", goal)
+        code, out, err = call(capsys, "prove", "--logic", "K3", "", goal)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: formula nested more than 100 levels deep")
+
+    def test_internal_recursion_error_exits_three(self, capsys, monkeypatch):
+        from trivalent import prover
+
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(prover, "prove", too_deep)
+        code, out, err = call(capsys, "prove", "--logic", "K3", "", "p")
         assert code == 3
-        assert "internal error" in err
+        assert not out
+        assert "internal error: RecursionError" in err
 
     def test_unknown_logic_exits_two(self, capsys):
         code, _, err = call(capsys, "prove", "--logic", "B4", "", "p")

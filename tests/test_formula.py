@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from trivalent.formula import (
+    MAX_NESTING,
     Atom,
     Compound,
     Constant,
@@ -49,6 +50,26 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             p("p &")
         assert exc.value.position == 3
+
+    # each repetition of ``opening`` is ``levels`` nesting levels
+    @pytest.mark.parametrize("opening, closing, levels", [
+        ("(", ")", 1), ("~", "", 1), ("~(", ")", 2), ("p -> ", "", 1),
+    ])
+    def test_nesting_is_capped(self, opening, closing, levels):
+        def nested(depth):
+            return opening * depth + "p" + closing * depth
+
+        deepest = MAX_NESTING // levels
+        p(nested(deepest))
+        with pytest.raises(ParseError) as exc:
+            p(nested(deepest + 1))
+        assert exc.value.message == f"formula nested more than {MAX_NESTING} levels deep"
+        # far beyond the cap: a parse error, not a RecursionError
+        with pytest.raises(ParseError):
+            p(nested(50 * MAX_NESTING))
+
+    def test_flat_chains_are_not_nesting(self):
+        assert complexity(p(" & ".join(["p"] * (3 * MAX_NESTING)))) == 3 * MAX_NESTING - 1
 
     def test_unknown_connective_names_token(self):
         with pytest.raises(UnknownConnectiveError) as exc:

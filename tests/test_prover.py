@@ -11,13 +11,10 @@ from trivalent.calculus import apply_rule, catalog
 from trivalent.formula import Atom, Compound, complexity
 from trivalent.logics import Value, lookup_logic
 from trivalent.prover import (
-    CutShapeError,
     LeafError,
     ModeMismatchError,
     Proved,
     Refuted,
-    admissible_cut,
-    admissible_weaken,
     _complete_tree,
     complete_search,
     countermodel_from_leaf,
@@ -29,6 +26,7 @@ from trivalent.prover import (
 from trivalent.semantics import bisequent_valid, falsifies, matrix_consequence
 
 from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
+from structural import CutShapeError, admissible_cut, admissible_weaken, is_proof
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -47,7 +45,7 @@ class TestCompleteSearch:
         leaf = tree.children[0]
         assert leaf.node == bp("p, q => p | =>")
         assert leaf.leaf_status == "axiomatic"
-        assert tree.is_proof
+        assert is_proof(tree)
 
     def test_atomic_root_is_a_leaf(self):
         tree = complete_search(K3, bp("=> p | =>"))
@@ -55,7 +53,7 @@ class TestCompleteSearch:
 
     def test_lp_excluded_middle(self):
         tree = complete_search(LP, bp("=> | => p | ~p", LP))
-        assert tree.is_proof
+        assert is_proof(tree)
         rules = {t.rule for t in _nodes(tree) if t.rule}
         assert rules == {"or.suc2", "neg.suc2"}
 
@@ -127,7 +125,7 @@ class TestCompleteSearch:
         tree = complete_search(K3, b)
         assert tree.children[0] is not None
         plain = complete_search(K3, b, use_memo=False)
-        assert tree.is_proof == plain.is_proof
+        assert is_proof(tree) == is_proof(plain)
         assert [l.node for l in tree.leaves()] == [l.node for l in plain.leaves()]
 
 
@@ -283,7 +281,7 @@ def test_rule_order_cannot_change_the_verdict(name):
         b = bisequent(ant1=(f,), suc1=(g,), ant2=(g,))
         left = complete_search(logic, b, strategy="leftmost")
         right = complete_search(logic, b, strategy="rightmost")
-        assert left.is_proof == right.is_proof
+        assert is_proof(left) == is_proof(right)
 
     check()
 
