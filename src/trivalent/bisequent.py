@@ -5,12 +5,13 @@ A bisequent ``G1 => D1 | G2 => D2`` is one record with four slots,
 never matters for equality, duplicates do.  In the text format each slot
 is a comma-separated formula list, empty lists allowed.
 
-Next to each slot's formulas a bisequent holds their structural keys in
-the same order.  Only a bisequent built from formulas (``bisequent()``,
-``Bisequent(...)``, the parser) computes keys; a premiss inherits them
-from its parent (``Bisequent.derive``): the context's keys are copied,
-and a subformula's key is read off its principal formula's key.  The
-axiom test compares keys, which are nested tuples and hash in C.
+A formula is a tuple (see ``formula``), so it is its own canonical key:
+a bisequent's key is each slot's formulas sorted, and the axiom test
+compares sets of formulas.  Sorting, comparing and hashing all run in C.
+A bisequent built from formulas (``bisequent()``, ``Bisequent(...)``,
+the parser) checks that every slot holds formulas; a premiss
+(``Bisequent.derive``) skips the check and shares its parent's sorted
+tuple for every slot the rule leaves alone.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .formula import (
+    Atom,
     Compound,
     Constant,
     Formula,
@@ -25,7 +27,6 @@ from .formula import (
     atoms,
     parse_formula,
     render,
-    structural_key,
 )
 from .logics import SLOTS, LogicDef
 
@@ -45,25 +46,23 @@ __all__ = [
 @dataclass(frozen=True, eq=False, slots=True)
 class Bisequent:
     """``ant1 => suc1 | ant2 => suc2``: one formula tuple per slot, in
-    insertion order, and ``keys``, each slot's structural keys in the same
-    order.  Equality and hashing go through one canonical key, each
-    slot's keys sorted."""
+    insertion order.  Equality and hashing go through one canonical key,
+    each slot's formulas sorted."""
 
     ant1: tuple[Formula, ...] = ()
     suc1: tuple[Formula, ...] = ()
     ant2: tuple[Formula, ...] = ()
     suc2: tuple[Formula, ...] = ()
-    keys: tuple[tuple, tuple, tuple, tuple] = field(init=False, repr=False)
     _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        keys = tuple(
-            tuple(map(structural_key, fs))
-            for fs in (self.ant1, self.suc1, self.ant2, self.suc2)
-        )
-        key = tuple(tuple(sorted(ks)) for ks in keys)
-        _set(self, "keys", keys)
-        _set(self, "_key", key)
+        slots = (self.ant1, self.suc1, self.ant2, self.suc2)
+        # a formula is a tuple too, so a bare formula given as a slot would
+        # otherwise pass for a slot holding its tag and fields
+        for fs in slots:
+            if not all(isinstance(f, (Atom, Constant, Compound)) for f in fs):
+                raise TypeError("a bisequent slot must be a sequence of formulas")
+        _set(self, "_key", tuple(tuple(sorted(fs)) for fs in slots))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bisequent):
@@ -92,18 +91,17 @@ class Bisequent:
         fs = self.slot(slot)
         return self.replace(slot, fs[:index] + fs[index + 1 :])
 
-    def derive(self, formulas: Sequence[tuple], keys: Sequence[tuple]) -> "Bisequent":
-        """A bisequent from four formula tuples and their four key tuples,
-        in slot order, without a ``structural_key`` call.  A slot whose
-        key tuple is this bisequent's own shares its sorted keys too."""
+    def derive(self, formulas: Sequence[tuple]) -> "Bisequent":
+        """A premiss from four formula tuples in slot order, unchecked.  A
+        slot that is this bisequent's own tuple shares its sorted tuple."""
         b = object.__new__(Bisequent)
         for name, fs in zip(SLOTS, formulas):
             _set(b, name, fs)
+        own = (self.ant1, self.suc1, self.ant2, self.suc2)
         key = tuple([
-            sk if ks is own else tuple(sorted(ks))
-            for ks, own, sk in zip(keys, self.keys, self._key)
+            sk if fs is o else tuple(sorted(fs))
+            for fs, o, sk in zip(formulas, own, self._key)
         ])
-        _set(b, "keys", tuple(keys))
         _set(b, "_key", key)
         return b
 
@@ -137,10 +135,7 @@ def is_atomic(b: Bisequent) -> bool:
     return all(not isinstance(f, Compound) for _, _, f in b.formulas())
 
 
-#: each constant as a clash member: the formula and its structural key
-_TOP, _BOTTOM, _UNDEF = (
-    frozenset((c, structural_key(c))) for c in map(Constant, ("top", "bottom", "undef"))
-)
+_TOP, _BOTTOM, _UNDEF = map(Constant, ("top", "bottom", "undef"))
 
 
 def clashes(
@@ -150,19 +145,18 @@ def clashes(
     """True iff no assignment can meet the four slot constraints on sight:
     a member shared by ant1 and suc1, ant1 and suc2, or ant2 and suc2, or
     (with ``constants``) T in a succedent, F in an antecedent, or U in
-    ant1 or suc2.  The slots may hold formulas, their structural keys or
-    atom names."""
+    ant1 or suc2.  The slots may hold formulas or atom names."""
     if not (ant1.isdisjoint(suc1) and ant1.isdisjoint(suc2) and ant2.isdisjoint(suc2)):
         return True
-    return constants and not (
-        _TOP.isdisjoint(suc1) and _TOP.isdisjoint(suc2)
-        and _BOTTOM.isdisjoint(ant1) and _BOTTOM.isdisjoint(ant2)
-        and _UNDEF.isdisjoint(ant1) and _UNDEF.isdisjoint(suc2)
+    return constants and (
+        _TOP in suc1 or _TOP in suc2
+        or _BOTTOM in ant1 or _BOTTOM in ant2
+        or _UNDEF in ant1 or _UNDEF in suc2
     )
 
 
 def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
-    """Axiom test: a clash among the four slots' keys (the constant
+    """Axiom test: a clash among the four slots' formulas (the constant
     clashes count only when the logic enables constants), or a formula
     that the logic's never-true/never-false connective schemata close.
 
@@ -170,7 +164,9 @@ def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
     constants (``complete_search`` rejects such a root); otherwise a
     constant counts as an opaque formula, so ``U => U | =>`` is axiomatic
     and ``U => | =>`` is not."""
-    if clashes(*map(set, b.keys), logic.constants_enabled):
+    if clashes(
+        set(b.ant1), set(b.suc1), set(b.ant2), set(b.suc2), logic.constants_enabled
+    ):
         return True
     for cid, slot in logic.extra_axiom_schemata:
         if any(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bisequent import Bisequent
-from .formula import CONNECTIVES, Compound, argument_keys
+from .formula import CONNECTIVES, Compound
 from .logics import (
     SLOTS,
     LogicDef,
@@ -176,9 +176,9 @@ def apply_rule(
 ) -> list[Bisequent]:
     """One premiss bisequent per premiss schema: the principal occurrence
     is removed, each placement appends its immediate subformula to its
-    slot in placement order, contexts are copied unchanged.  The keys
-    follow the formulas: a subformula's key is read off the principal's
-    key, so no premiss computes a structural key."""
+    slot in placement order, contexts are copied unchanged.  Each premiss
+    is built unchecked by ``Bisequent.derive``, which shares the parent's
+    sorted tuple for every slot the premiss does not change."""
     slot, index = occurrence
     if slot != rule.principal_slot:
         raise OccurrenceError(
@@ -193,21 +193,15 @@ def apply_rule(
         raise OccurrenceError(
             f"formula at {slot}[{index}] is not a {rule.connective!r} compound"
         )
-    i = SLOTS.index(slot)
-    ks = b.keys[i]
-    arg_keys = argument_keys(ks[index])
+    args = principal.args
     formulas = [b.ant1, b.suc1, b.ant2, b.suc2]
-    keys = list(b.keys)
-    formulas[i] = fs[:index] + fs[index + 1 :]
-    keys[i] = ks[:index] + ks[index + 1 :]
+    formulas[SLOTS.index(slot)] = fs[:index] + fs[index + 1 :]
     out = []
     for premiss in rule.premisses:
-        pf, pk = formulas.copy(), keys.copy()
+        pf = formulas.copy()
         for pl in premiss.placements:
-            j = SLOTS.index(pl.slot)
-            pf[j] += (principal.args[pl.arg_index],)
-            pk[j] += (arg_keys[pl.arg_index],)
-        out.append(b.derive(pf, pk))
+            pf[SLOTS.index(pl.slot)] += (args[pl.arg_index],)
+        out.append(b.derive(pf))
     return out
 
 

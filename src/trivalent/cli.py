@@ -291,12 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, constants=True):
         p.add_argument("--logic", required=True, help="logic name (see list-logics)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--max-atoms",
-            type=int,
-            default=semantics.DEFAULT_ATOM_CAP,
-            help="cap on distinct atoms for exhaustive semantic checks",
-        )
         if constants:
             p.add_argument(
                 "--constants",
@@ -355,6 +349,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list-logics", help="list the registered logics")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_list_logics)
+
+    # only the commands that run the exhaustive oracle on their input
+    for command in ("check-semantic", "countermodel", "interpolate"):
+        sub.choices[command].add_argument(
+            "--max-atoms",
+            type=int,
+            default=semantics.DEFAULT_ATOM_CAP,
+            help="cap on distinct atoms for exhaustive semantic checks",
+        )
 
     return parser
 

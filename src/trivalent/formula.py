@@ -1,6 +1,11 @@
 """Formula syntax for three-valued propositional logics.
 
 A formula is an atom, a constant, or a connective applied to arguments.
+Each is a tuple that holds a tag, then its fields: ``("0atom", name)``,
+``("1const", kind)`` or ``("2comp", connective, *args)``.  A formula is
+therefore its own canonical key: equality, hashing and ordering are the
+tuple's, computed in C, and sorting orders atoms before constants before
+compounds, each by name, kind or connective and then by arguments.
 Connectives are identified by symbolic ids ("neg", "and_w", "impl_l", ...);
 each logic declares which ids belong to its signature.  The ASCII surface
 syntax is signature-relative:
@@ -19,7 +24,7 @@ syntax is signature-relative:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -32,14 +37,12 @@ __all__ = [
     "UnknownConnectiveError",
     "CONNECTIVES",
     "MAX_NESTING",
-    "argument_keys",
     "atoms",
     "complexity",
     "connectives_of",
     "iter_formulas",
     "parse_formula",
     "render",
-    "structural_key",
 ]
 
 #: arity of every built-in connective id.
@@ -113,37 +116,48 @@ class RenderError(ValueError):
     """A connective id with no surface form under the given signature."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(tuple):
+    """An atom, the tuple ``("0atom", name)``."""
 
-    def __post_init__(self) -> None:
-        if not _ATOM_RE.match(self.name) or self.name in RESERVED_WORDS:
-            raise ValueError(f"invalid atom name {self.name!r}")
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-
-@dataclass(frozen=True)
-class Constant:
-    kind: str  # "top" | "bottom" | "undef"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("top", "bottom", "undef"):
-            raise ValueError(f"invalid constant kind {self.kind!r}")
+    def __new__(cls, name: str) -> "Atom":
+        if not _ATOM_RE.match(name) or name in RESERVED_WORDS:
+            raise ValueError(f"invalid atom name {name!r}")
+        return tuple.__new__(cls, ("0atom", name))
 
 
-@dataclass(frozen=True)
-class Compound:
-    connective: str
-    args: tuple["Formula", ...]
+class Constant(tuple):
+    """A constant, the tuple ``("1const", kind)``; kind is "top", "bottom"
+    or "undef"."""
 
-    def __post_init__(self) -> None:
-        n = CONNECTIVES.get(self.connective)
+    __slots__ = ()
+    kind = property(itemgetter(1))
+
+    def __new__(cls, kind: str) -> "Constant":
+        if kind not in ("top", "bottom", "undef"):
+            raise ValueError(f"invalid constant kind {kind!r}")
+        return tuple.__new__(cls, ("1const", kind))
+
+
+class Compound(tuple):
+    """A connective applied to its arguments, the tuple
+    ``("2comp", connective, *args)``."""
+
+    __slots__ = ()
+    connective = property(itemgetter(1))
+    args = property(itemgetter(slice(2, None)))
+
+    def __new__(cls, connective: str, args: Sequence["Formula"]) -> "Compound":
+        n = CONNECTIVES.get(connective)
         if n is None:
-            raise ValueError(f"unknown connective id {self.connective!r}")
-        if len(self.args) != n:
+            raise ValueError(f"unknown connective id {connective!r}")
+        if len(args) != n:
             raise ValueError(
-                f"{self.connective!r} expects {n} argument(s), got {len(self.args)}"
+                f"{connective!r} expects {n} argument(s), got {len(args)}"
             )
+        return tuple.__new__(cls, ("2comp", connective, *args))
 
 
 Formula = Union[Atom, Constant, Compound]
@@ -151,14 +165,15 @@ Formula = Union[Atom, Constant, Compound]
 
 def atoms(f: Formula) -> frozenset[str]:
     """Names of the atoms occurring in ``f``."""
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Constant):
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for a in f.args:
-        out |= atoms(a)
-    return out
+    out: set[str] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Compound):
+            todo.extend(g.args)
+        elif isinstance(g, Atom):
+            out.add(g.name)
+    return frozenset(out)
 
 
 def complexity(f: Formula) -> int:
@@ -175,20 +190,6 @@ def connectives_of(f: Formula) -> frozenset[str]:
             out |= connectives_of(a)
         return out
     return frozenset()
-
-
-def structural_key(f: Formula):
-    """Deterministic total-order key on formulas (for canonical sorting)."""
-    if isinstance(f, Atom):
-        return ("0atom", f.name)
-    if isinstance(f, Constant):
-        return ("1const", f.kind)
-    return ("2comp", f.connective) + tuple(structural_key(a) for a in f.args)
-
-
-def argument_keys(key: tuple) -> tuple:
-    """The ``structural_key`` of each argument, read off a compound's key."""
-    return key[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Sequence
 
 from .bisequent import Bisequent, bisequent, clashes
-from .formula import Atom, Compound, Formula, atoms
+from .formula import Atom, Compound, Formula, _resolve_generic, atoms
 from .logics import LogicDef
 from .prover import _complete_tree, designated_mode, prove
 from .semantics import DEFAULT_ATOM_CAP, matrix_consequence
@@ -108,15 +108,6 @@ _ADDED_NEGATION = {
 }
 
 
-def _family_tag(logic: LogicDef, prefix: str) -> str:
-    matches = [c for c in logic.connectives if c.split("_")[0] == prefix]
-    if len(matches) != 1:
-        raise InterpolationError(
-            f"{logic.name} has no unique '{prefix}' connective"
-        )
-    return matches[0]
-
-
 def _fold(tag: str, parts: Sequence[Formula]) -> Formula:
     if not parts:
         raise InterpolationError("cannot fold an empty list")
@@ -156,9 +147,8 @@ def _disjunct(logic: LogicDef, primed: LeafAtoms) -> Formula:
     left out, and the whole is never empty when the combined-leaf check
     holds.
     """
-    neg = _family_tag(logic, "neg")
-    conj = _family_tag(logic, "and")
-    disj = _family_tag(logic, "or")
+    # the connectives that ~, & and | denote in the logic's own language
+    neg, conj, disj = (_resolve_generic(t, logic.signature) for t in "~&|")
     added = _ADDED_NEGATION[logic.name]
 
     def literals(names: frozenset[str], *tags: str) -> list[Formula]:
@@ -180,7 +170,7 @@ def _disjunct(logic: LogicDef, primed: LeafAtoms) -> Formula:
     if logic.name == "G3":
         ant2, suc2 = literals(inner_neg), literals(negd)
         if ant2 and suc2:
-            impl = _family_tag(logic, "impl")
+            impl = _resolve_generic("->", logic.signature)
             body: Formula = Compound(impl, (_fold(conj, ant2), _fold(disj, suc2)))
             conjuncts.append(Compound(neg, (body,)))
         elif suc2:
@@ -253,13 +243,15 @@ def interpolate_extended(
     if not combined_leaf_check(leaves_phi, leaves_psi):
         raise InterpolationError("combined leaves are not all axiomatic")
     disjuncts = []
-    for primed in _primed_sets(leaves_phi, leaves_psi):
+    # distinct leaves can filter down to the same primed sets, and those
+    # give the same disjunct
+    for primed in dict.fromkeys(_primed_sets(leaves_phi, leaves_psi)):
         if not (primed.ant1 or primed.suc1 or primed.ant2 or primed.suc2):
             raise InterpolationError("a leaf lost all atoms in the primed sets")
         disjuncts.append(_disjunct(logic, primed))
     added = _ADDED_NEGATION[logic.name]
     host = logic if added is None else logic.extended((added,))
-    return _fold(_family_tag(logic, "or"), disjuncts), host
+    return _fold(_resolve_generic("|", logic.signature), disjuncts), host
 
 
 def interpolate(

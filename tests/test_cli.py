@@ -136,6 +136,26 @@ class TestProve:
         assert code == 2
         assert "K3" in err
 
+    def test_max_atoms_only_where_the_oracle_runs_on_the_input(self, capsys):
+        for argv in (
+            ("prove", "--logic", "K3", "--max-atoms", "3", "", "p"),
+            ("verify-rules", "--logic", "K3", "--max-atoms", "3"),
+            ("synthesize", "--logic", "K3", "--max-atoms", "3", "--connective", "neg",
+             "--slot", "ant1"),
+            ("table", "--logic", "K3", "--max-atoms", "3", "--connective", "neg"),
+        ):
+            code, _, err = call(capsys, *argv)
+            assert code == 2, argv
+            assert "--max-atoms" in err
+        for argv in (
+            ("check-semantic", "--logic", "K3", "--max-atoms", "3", "", "p | ~p"),
+            ("countermodel", "--logic", "K3", "--max-atoms", "3", "", "p | ~p"),
+        ):
+            assert call(capsys, *argv)[0] == 1, argv
+        code, _, _ = call(capsys, "interpolate", "--logic", "K3", "--max-atoms", "3",
+                          "p & q", "p | q")
+        assert code == 0
+
     def test_constants_flag(self, capsys):
         code, _, _ = call(capsys, "prove", "--logic", "K3", "--constants", "", "T")
         assert code == 0

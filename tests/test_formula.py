@@ -138,6 +138,21 @@ class TestMeasures:
         assert complexity(p(text)) == expected
 
 
+def test_formulas_sort_in_the_documented_order():
+    # atoms, then constants, then compounds; each by name, kind or
+    # connective, then argument by argument
+    q, r = Atom("q"), Atom("r")
+    ordered = [
+        Atom("p"), q, r,
+        Constant("bottom"), Constant("top"), Constant("undef"),
+        Compound("and", (q, q)), Compound("and", (q, r)), Compound("and", (r, q)),
+        Compound("and", (Compound("neg", (q,)), q)),
+        Compound("neg", (q,)), Compound("neg", (Constant("top"),)),
+        Compound("or", (q, q)),
+    ]
+    assert sorted(reversed(ordered)) == ordered
+
+
 @pytest.mark.parametrize("name", CORE_LOGICS)
 def test_render_parse_roundtrip(name):
     logic = lookup_logic(name)

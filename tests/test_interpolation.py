@@ -82,6 +82,19 @@ class TestInterpolate:
         assert len(disjuncts) == len(set(disjuncts)) == 3
         assert verify_interpolant(I1, phi, psi, inter)
 
+    @pytest.mark.parametrize(
+        "name, left, right, expected",
+        [("I1", "q & (p | q)", "q | q", "q"), ("K3", "~(r & p | q)", "~q", "~q")],
+    )
+    def test_leaves_alike_after_filtering_give_one_disjunct(self, name, left, right, expected):
+        # two open leaves of the left tree keep the same atoms once
+        # filtered through the right tree's leaves
+        logic = lookup_logic(name)
+        phi, psi = logic.parse(left), logic.parse(right)
+        inter, host = interpolate_extended(logic, phi, psi)
+        assert inter == host.parse(expected)
+        assert verify_interpolant(host, phi, psi, inter)
+
 
 class TestCombinedLeafCheck:
     def test_sharing_leaves_pass(self):
