@@ -170,7 +170,7 @@ def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
         return True
     for cid, slot in logic.extra_axiom_schemata:
         if any(
-            isinstance(f, Compound) and f.connective == cid for f in b.slot(slot)
+            isinstance(f, Compound) and f.connective == cid for f in getattr(b, slot)
         ):
             return True
     return False

@@ -17,7 +17,7 @@ table with premisses, and ``catalog`` builds every logic's rules that way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bisequent import Bisequent
@@ -67,10 +67,17 @@ class Placement:
 @dataclass(frozen=True)
 class PremissSchema:
     placements: tuple[Placement, ...]
+    #: the placements resolved for ``apply_rule``: (slot index, argument
+    #: index) pairs, in placement order
+    moves: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.placements:
             raise CatalogError("a premiss must place at least one side formula")
+        if any(pl.slot not in SLOTS for pl in self.placements):
+            raise CatalogError("a placement names an unknown slot")
+        moves = tuple((SLOTS.index(pl.slot), pl.arg_index) for pl in self.placements)
+        object.__setattr__(self, "moves", moves)
 
 
 @dataclass(frozen=True)
@@ -199,8 +206,8 @@ def apply_rule(
     out = []
     for premiss in rule.premisses:
         pf = formulas.copy()
-        for pl in premiss.placements:
-            pf[SLOTS.index(pl.slot)] += (args[pl.arg_index],)
+        for k, a in premiss.moves:
+            pf[k] += (args[a],)
         out.append(b.derive(pf))
     return out
 

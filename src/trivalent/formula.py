@@ -24,6 +24,7 @@ syntax is signature-relative:
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -215,8 +216,10 @@ def _resolve_generic(token: str, signature: frozenset[str]) -> str | None:
     return None
 
 
+@lru_cache(maxsize=256)
 def _token_map(signature: frozenset[str]) -> dict[str, str]:
-    """Surface token for every connective id of the signature."""
+    """Surface token for every connective id of the signature.  Cached per
+    signature, so every caller shares one dict: read it, never change it."""
     out: dict[str, str] = {}
     for tok in ("~", "&", "|", "->"):
         target = _resolve_generic(tok, signature)

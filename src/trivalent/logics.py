@@ -49,6 +49,10 @@ class Value(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    # members are singletons and compare by identity, so hash them by
+    # identity too, in C, instead of through ``Enum.__hash__``
+    __hash__ = object.__hash__
+
 
 #: display/enumeration order 0 < u < 1 (no semantic weight)
 VALUES = (Value.ZERO, Value.UNDEF, Value.ONE)

@@ -12,15 +12,18 @@ first open leaf is therefore the one a complete search would list
 first, and it sits at the end of the explored tree's rightmost path.
 Every rule trades a formula occurrence for proper subformula
 occurrences, so the search terminates.  The verdict does not depend on
-the order of rule applications; the principal occurrence is nevertheless
-chosen deterministically to keep proof objects and countermodels
+the order of rule applications, but the size of the search does: a node
+is decomposed at the occurrence whose rule has the fewest premisses, so
+one-premiss (α) rules go before branching (β) rules and are not repeated
+in every branch, with ties broken in scan order.  The choice is
+deterministic, which keeps proof objects and countermodels
 reproducible.  An open leaf yields a countermodel that falsifies the
 whole branch down to the root.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .bisequent import (
     Bisequent,
@@ -132,20 +135,35 @@ SearchResult = Union[Proved, Refuted]
 def _select_occurrence(
     cat: Catalog, b: Bisequent, strategy: str
 ) -> tuple[str, int, object] | None:
-    """First decomposable occurrence: a compound whose connective has a
-    rule at its slot.  Compounds covered only by an axiom schema (never a
-    rule) stay put; they make the bisequent axiomatic."""
-    slots: Sequence[str] = SLOTS if strategy == "leftmost" else tuple(reversed(SLOTS))
-    for slot in slots:
-        fs = b.slot(slot)
-        indices = range(len(fs)) if strategy == "leftmost" else range(len(fs) - 1, -1, -1)
-        for i in indices:
+    """The decomposable occurrence with the fewest premisses, ties broken
+    in scan order: the first one whose rule has a single premiss (an
+    α-rule), else the first among those whose rule has the fewest.  A
+    decomposable occurrence is a compound whose connective has a rule at
+    its slot; compounds covered only by an axiom schema (never a rule)
+    stay put, they make the bisequent axiomatic.  ``strategy`` sets the
+    scan: "leftmost" reads the slots ant1, suc1, ant2, suc2 and each slot
+    front to back, "rightmost" the reverse.
+
+    Applying α-rules before branching (β-) rules keeps a branching step
+    from copying the pending one-premiss steps into each of its branches.
+    Every rule is invertible, so the order cannot change a verdict."""
+    leftmost = strategy == "leftmost"
+    slots = zip(SLOTS, (b.ant1, b.suc1, b.ant2, b.suc2))
+    best = None
+    fewest = 0
+    for slot, fs in slots if leftmost else reversed(tuple(slots)):
+        for i in range(len(fs)) if leftmost else range(len(fs) - 1, -1, -1):
             f = fs[i]
             if isinstance(f, Compound):
                 rule = cat.rule_for(f.connective, slot)
-                if rule is not None:
+                if rule is None:
+                    continue
+                n = len(rule.premisses)
+                if n == 1:
                     return slot, i, rule
-    return None
+                if best is None or n < fewest:
+                    best, fewest = (slot, i, rule), n
+    return best
 
 
 def complete_search(

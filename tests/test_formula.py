@@ -201,6 +201,31 @@ def test_iter_formulas_counts():
     assert len(set(out)) == len(out)
 
 
+def test_token_map_is_built_once_per_signature(monkeypatch):
+    """Rendering a proof looks up one cached token map per signature, and
+    prints the same bytes as rendering with a map built afresh each time."""
+    import trivalent.formula as formula_module
+    from trivalent.formula import _token_map
+    from trivalent.prover import prove
+
+    l3 = lookup_logic("L3")
+    tree = prove(l3, "designated_1", (l3.parse("p -> q"),), l3.parse("~q -> ~p")).tree
+    _token_map.cache_clear()
+    text = tree.to_text(l3.signature)
+    assert tree.to_text(l3.signature) == text
+    assert _token_map.cache_info().misses == 1
+    _token_map.cache_clear()
+    tree.to_text()  # each formula's own connectives: one miss per distinct set
+    assert _token_map.cache_info().misses <= 4
+    monkeypatch.setattr(formula_module, "_token_map", _token_map.__wrapped__)
+    assert tree.to_text(l3.signature) == text
+    assert text.splitlines()[:3] == [
+        "p -> q => ~q -> ~p |  =>   [impl_l.suc1]",
+        "  p -> q, ~q => ~p |  =>   [neg.ant1]",
+        "    p -> q => ~p |  => q   [neg.suc1]",
+    ]
+
+
 def test_render_uses_minimal_parentheses():
     f = p("p -> q -> r")
     assert render(f, K3_SIG) == "p -> q -> r"

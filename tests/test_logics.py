@@ -66,6 +66,26 @@ def test_table_file_must_match_the_declared_connectives(tmp_path, header, messag
         load_tables(path)
 
 
+def test_values_survive_copy_and_pickle():
+    """Values hash by identity, so a copied or unpickled assignment must
+    hold the same members: table lookups and ``falsifies`` still work."""
+    import copy
+    import pickle
+
+    from trivalent.bisequent import parse_bisequent
+    from trivalent.semantics import falsifies
+
+    l3 = lookup_logic("L3")
+    h = {"p": Value.ONE, "q": Value.UNDEF}
+    root = parse_bisequent("p => p -> q | =>", l3.signature)
+    for got in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert all(got[a] is h[a] for a in h)
+        assert l3.table("impl_l")(got["p"], got["q"]) is Value.UNDEF
+        assert evaluate(l3, got, l3.parse("p -> q")) is Value.UNDEF
+        assert falsifies(l3, got, root)
+    assert {copy.deepcopy(v) for v in VALUES} == set(VALUES)
+
+
 def test_tables_are_total():
     for table in tables().values():
         assert len(table.entries) == 3 ** table.arity

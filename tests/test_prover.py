@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivalent.bisequent import bisequent, is_atomic, parse_bisequent
 from trivalent.calculus import apply_rule, catalog
@@ -16,6 +17,7 @@ from trivalent.prover import (
     Proved,
     Refuted,
     _complete_tree,
+    _select_occurrence,
     complete_search,
     countermodel_from_leaf,
     designated_mode,
@@ -286,6 +288,91 @@ def test_rule_order_cannot_change_the_verdict(name):
     check()
 
 
+def _decomposable(cat, b):
+    """(slot, index, premiss count) of every decomposable occurrence, in
+    leftmost scan order."""
+    out = []
+    for slot, index, f in b.formulas():
+        if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot)):
+            out.append((slot, index, len(rule.premisses)))
+    return out
+
+
+class TestSelectionOrder:
+    def test_alpha_rule_goes_before_an_earlier_beta_rule(self):
+        cat = catalog(K3)
+        assert len(cat.rule_for("or", "ant1").premisses) == 2
+        assert len(cat.rule_for("and", "ant1").premisses) == 1
+        tree = complete_search(K3, bp("p | q, r & s => | =>"))
+        assert tree.rule == "and.ant1" and tree.occurrence == ("ant1", 1)
+        assert tree.children[0].rule == "or.ant1"
+
+    @pytest.mark.parametrize("name", ("K3", "L3", "K3w", "P3", "Palasinska1"))
+    def test_pick_has_the_fewest_premisses(self, name):
+        logic = lookup_logic(name)
+        cat = catalog(logic)
+        slot_formulas = st.lists(
+            formulas(logic.signature, atom_names=("p", "q"), max_leaves=3), max_size=2)
+
+        @given(slot_formulas, slot_formulas, slot_formulas, slot_formulas)
+        @settings(max_examples=60)
+        def check(ant1, suc1, ant2, suc2):
+            b = bisequent(ant1, suc1, ant2, suc2)
+            found = _decomposable(cat, b)
+            for strategy, scan in (("leftmost", found), ("rightmost", found[::-1])):
+                picked = _select_occurrence(cat, b, strategy)
+                if not found:
+                    assert picked is None
+                    continue
+                fewest = min(n for _, _, n in found)
+                first = next((s, i) for s, i, n in scan if n == fewest)
+                assert picked[:2] == first
+                assert len(picked[2].premisses) == fewest
+
+        check()
+
+    def test_fewer_rule_applications_than_leftmost_first(self, monkeypatch):
+        """Same verdicts as a leftmost-first selection on seeded goals in a
+        branching-heavy logic and a weak-Kleene one, with strictly fewer
+        rule applications in total."""
+        import trivalent.prover as prover_module
+
+        def leftmost_first(cat, b, strategy):
+            for slot, index, f in b.formulas():
+                if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot)):
+                    return slot, index, rule
+            return None
+
+        goals = []
+        for name, n in (("L3", 5), ("K3w", 3)):
+            logic = lookup_logic(name)
+            rng = random.Random(f"effort:{name}")
+            goals += [
+                (logic, random_formula(rng, logic.signature, "pqrs", n),
+                 random_formula(rng, logic.signature, "pqrs", n))
+                for _ in range(100)
+            ]
+        calls = [0]
+
+        def counting(rule, b, occurrence):
+            calls[0] += 1
+            return apply_rule(rule, b, occurrence)
+
+        monkeypatch.setattr(prover_module, "apply_rule", counting)
+
+        def run():
+            calls[0] = 0
+            verdicts = [prove(logic, designated_mode(logic), (a,), c).proved
+                        for logic, a, c in goals]
+            return verdicts, calls[0]
+
+        verdicts, applied = run()
+        monkeypatch.setattr(prover_module, "_select_occurrence", leftmost_first)
+        old_verdicts, old_applied = run()
+        assert verdicts == old_verdicts
+        assert 0 < applied < old_applied
+
+
 class TestGoalModes:
     def test_goal_shapes(self):
         p, q = K3.parse("p"), K3.parse("q")
@@ -477,7 +564,9 @@ def test_search_leaves_no_cyclic_garbage():
 
 #: (logic, premiss, conclusion, countermodel or None for proved), captured
 #: from the search as it stood before early closure and the stop at the
-#: first open leaf; a change of the selection order shows up here as a diff
+#: first open leaf, and re-captured at indices 6, 7 and 19 when the search
+#: began to pick the occurrence with the fewest premisses; a change of the
+#: selection order shows up here as a diff
 GOLDEN_COUNTERMODELS = (
     ("L3", "~((r | r) & (r | r)) | s", "~(p or_l (s & (p & s) or_l r))", 'p=1 r=0 s=u'),
     ("L3", "s or_l s & r | (p | r & p)", "s | ~(~(r or_l q) -> s)", 'p=u q=u r=1 s=u'),
@@ -485,8 +574,8 @@ GOLDEN_COUNTERMODELS = (
     ("L3", "(p -> q) and_l ~(q | r or_l r)", "(s -> r & s) | (s -> s & q)", 'p=0 q=0 r=0 s=1'),
     ("L3", "~~(s & ~r -> q)", "(p and_l (p & r) -> r) | (q | p)", None),
     ("L3", "p and_l (q | (r or_l r | ~r))", "s and_l (q | s or_l s) | (r -> q)", 'p=1 q=0 r=1 s=0'),
-    ("L3", "r and_l p -> p | q | (q | p)", "~~((q | p) and_l p & s)", 'p=1 q=u r=u s=0'),
-    ("L3", "~(p & (q and_l q)) -> ~p", "~(p | (r & r or_l p & p))", 'p=0 q=u r=1'),
+    ("L3", "r and_l p -> p | q | (q | p)", "~~((q | p) and_l p & s)", 'p=0 q=0 r=0 s=u'),
+    ("L3", "~(p & (q and_l q)) -> ~p", "~(p | (r & r or_l p & p))", 'p=1 q=1 r=u'),
     ("PWK", "(q -> r) -> r & q", "~(q | (q -> s))", 'q=1 r=1 s=1'),
     ("PWK", "(p -> s) & (r -> p)", "q | q -> q & r", 'p=1 q=1 r=0 s=1'),
     ("PWK", "q & p -> ~s", "r -> r | r | r", None),
@@ -498,7 +587,7 @@ GOLDEN_COUNTERMODELS = (
     ("K3w", "q & q & (r -> s)", "s | (p -> p | q)", 'p=u q=1 r=1 s=1'),
     ("K3w", "(q -> r) -> r -> s", "~(q & q) & s", 'q=1 r=1 s=1'),
     ("K3w", "~((q -> p) -> s)", "(s -> q) | q & q", None),
-    ("K3w", "~((q -> r) -> q)", "r | (~s -> p)", 'p=0 q=0 r=0 s=0'),
+    ("K3w", "~((q -> r) -> q)", "r | (~s -> p)", 'p=u q=0 r=1 s=0'),
     ("K3w", "~~~r", "(s | r -> p) | s", 'p=u r=0 s=1'),
     ("K3w", "q | r | q -> q", "p -> s | (q -> s)", 'p=1 q=1 r=1 s=u'),
     ("K3w", "p | s & (r & s)", "r | ~~r", 'p=1 r=0 s=1'),
