@@ -8,10 +8,14 @@ is a comma-separated formula list, empty lists allowed.
 A formula is a tuple (see ``formula``), so it is its own canonical key:
 a bisequent's key is each slot's formulas sorted, and the axiom test
 compares sets of formulas.  Sorting, comparing and hashing all run in C.
+The record keeps the key in four sorted-slot fields beside the four
+insertion-order slots, not in a tuple of its own, and a slot that is
+already in sorted order (every slot of none or one formula is) serves as
+its own sorted form, so most slots cost one tuple, not two.
 A bisequent built from formulas (``bisequent()``, ``Bisequent(...)``,
 the parser) checks that every slot holds formulas; a premiss
-(``Bisequent.derive``) skips the check and shares its parent's sorted
-tuple for every slot the rule leaves alone.
+(``Bisequent.derive``) skips the check and shares its parent's slot and
+sorted-slot tuples for every slot the rule leaves alone.
 """
 from __future__ import annotations
 
@@ -46,23 +50,31 @@ __all__ = [
 @dataclass(frozen=True, eq=False, slots=True)
 class Bisequent:
     """``ant1 => suc1 | ant2 => suc2``: one formula tuple per slot, in
-    insertion order.  Equality and hashing go through one canonical key,
-    each slot's formulas sorted."""
+    insertion order, and beside each its formulas sorted.  A slot already
+    in sorted order, as every slot of none or one formula is, is its own
+    sorted form.  Equality and hashing go through the sorted forms."""
 
     ant1: tuple[Formula, ...] = ()
     suc1: tuple[Formula, ...] = ()
     ant2: tuple[Formula, ...] = ()
     suc2: tuple[Formula, ...] = ()
-    _key: tuple = field(init=False, repr=False)
+    _sorted_ant1: tuple[Formula, ...] = field(init=False, repr=False)
+    _sorted_suc1: tuple[Formula, ...] = field(init=False, repr=False)
+    _sorted_ant2: tuple[Formula, ...] = field(init=False, repr=False)
+    _sorted_suc2: tuple[Formula, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        slots = (self.ant1, self.suc1, self.ant2, self.suc2)
-        # a formula is a tuple too, so a bare formula given as a slot would
-        # otherwise pass for a slot holding its tag and fields
-        for fs in slots:
+        for name, fs in zip(_SORTED_SLOTS, (self.ant1, self.suc1, self.ant2, self.suc2)):
+            # a formula is a tuple too, so a bare formula given as a slot
+            # would otherwise pass for a slot holding its tag and fields
             if not all(isinstance(f, (Atom, Constant, Compound)) for f in fs):
                 raise TypeError("a bisequent slot must be a sequence of formulas")
-        _set(self, "_key", tuple(tuple(sorted(fs)) for fs in slots))
+            _set(self, name, _sorted(fs))
+
+    @property
+    def _key(self) -> tuple[tuple[Formula, ...], ...]:
+        """The canonical key: each slot's formulas sorted."""
+        return self._sorted_ant1, self._sorted_suc1, self._sorted_ant2, self._sorted_suc2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bisequent):
@@ -93,16 +105,14 @@ class Bisequent:
 
     def derive(self, formulas: Sequence[tuple]) -> "Bisequent":
         """A premiss from four formula tuples in slot order, unchecked.  A
-        slot that is this bisequent's own tuple shares its sorted tuple."""
+        slot that is this bisequent's own tuple shares its sorted form."""
         b = object.__new__(Bisequent)
-        for name, fs in zip(SLOTS, formulas):
-            _set(b, name, fs)
         own = (self.ant1, self.suc1, self.ant2, self.suc2)
-        key = tuple([
-            sk if fs is o else tuple(sorted(fs))
-            for fs, o, sk in zip(formulas, own, self._key)
-        ])
-        _set(b, "_key", key)
+        for name, sorted_name, fs, o, so in zip(
+            SLOTS, _SORTED_SLOTS, formulas, own, self._key
+        ):
+            _set(b, name, fs)
+            _set(b, sorted_name, so if fs is o else _sorted(fs))
         return b
 
     def formulas(self) -> Iterator[tuple[str, int, Formula]]:
@@ -112,6 +122,15 @@ class Bisequent:
 
 
 _set = object.__setattr__
+_SORTED_SLOTS = tuple(f"_sorted_{slot}" for slot in SLOTS)
+
+
+def _sorted(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
+    """``fs`` in sorted order; ``fs`` itself when it already is."""
+    if len(fs) < 2:
+        return fs
+    out = tuple(sorted(fs))
+    return fs if out == fs else out
 
 
 def bisequent(

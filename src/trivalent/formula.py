@@ -128,6 +128,9 @@ class Atom(tuple):
             raise ValueError(f"invalid atom name {name!r}")
         return tuple.__new__(cls, ("0atom", name))
 
+    def __getnewargs__(self) -> tuple[str]:
+        return (self[1],)
+
 
 class Constant(tuple):
     """A constant, the tuple ``("1const", kind)``; kind is "top", "bottom"
@@ -140,6 +143,9 @@ class Constant(tuple):
         if kind not in ("top", "bottom", "undef"):
             raise ValueError(f"invalid constant kind {kind!r}")
         return tuple.__new__(cls, ("1const", kind))
+
+    def __getnewargs__(self) -> tuple[str]:
+        return (self[1],)
 
 
 class Compound(tuple):
@@ -159,6 +165,9 @@ class Compound(tuple):
                 f"{connective!r} expects {n} argument(s), got {len(args)}"
             )
         return tuple.__new__(cls, ("2comp", connective, *args))
+
+    def __getnewargs__(self) -> tuple[str, tuple["Formula", ...]]:
+        return self[1], self[2:]
 
 
 Formula = Union[Atom, Constant, Compound]

@@ -19,10 +19,17 @@ in every branch, with ties broken in scan order.  The choice is
 deterministic, which keeps proof objects and countermodels
 reproducible.  An open leaf yields a countermodel that falsifies the
 whole branch down to the root.
+
+A ``ProofTree`` node is one flat tuple, ``(node, rule, occurrence,
+leaf_status, *children)``, read through named properties, and nodes
+decomposed at equal ``(slot, index)`` occurrences share one occurrence
+tuple.  A memo keeps every node it has seen alive, so each node holds no
+record beyond its own tuple and its bisequent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .bisequent import (
@@ -68,17 +75,37 @@ class LeafError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ProofTree:
-    node: Bisequent
-    rule: str | None
-    occurrence: tuple[str, int] | None
-    children: tuple["ProofTree", ...]
-    leaf_status: str | None  # "axiomatic" | "open" at leaves, None inside
+class ProofTree(tuple):
+    """A search node, the tuple ``(node, rule, occurrence, leaf_status,
+    *children)``: the bisequent, the rule name and the ``(slot, index)``
+    occurrence it was decomposed at (both None at a leaf), the leaf status
+    ("axiomatic" or "open" at a leaf, None inside) and the premiss
+    subtrees.  One flat tuple per node, so a memoised node keeps no
+    separate children tuple; equality and hashing are the tuple's."""
+
+    __slots__ = ()
+    node = property(itemgetter(0))
+    rule = property(itemgetter(1))
+    occurrence = property(itemgetter(2))
+    leaf_status = property(itemgetter(3))
+    children = property(itemgetter(slice(4, None)))
+
+    def __new__(
+        cls,
+        node: Bisequent,
+        rule: str | None,
+        occurrence: tuple[str, int] | None,
+        children: Iterable["ProofTree"],
+        leaf_status: str | None,
+    ) -> "ProofTree":
+        return tuple.__new__(cls, (node, rule, occurrence, leaf_status, *children))
+
+    def __getnewargs__(self) -> tuple:
+        return self[0], self[1], self[2], self[4:], self[3]
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return len(self) == 4
 
     def leaves(self) -> Iterator["ProofTree"]:
         if self.is_leaf:
@@ -224,9 +251,14 @@ def _last_leaf(tree: ProofTree) -> ProofTree:
     """The leaf at the end of the rightmost path.  In a tree that stopped
     at its first open leaf, this is that leaf if the tree is open, and an
     axiomatic leaf otherwise."""
-    while tree.children:
-        tree = tree.children[-1]
+    while len(tree) > 4:
+        tree = tree[-1]
     return tree
+
+
+#: one shared ``(slot, index)`` tuple per occurrence, so that the nodes
+#: decomposed at equal occurrences do not each keep their own pair
+_OCCURRENCES: dict[tuple[str, int], tuple[str, int]] = {}
 
 
 def _search(
@@ -247,13 +279,15 @@ def _search(
         tree = ProofTree(node, None, None, (), "open")
     else:
         slot, index, rule = picked
+        occurrence = (slot, index)
+        occurrence = _OCCURRENCES.setdefault(occurrence, occurrence)
         children = []
-        for premiss in apply_rule(rule, node, (slot, index)):
+        for premiss in apply_rule(rule, node, occurrence):
             child = _search(logic, cat, strategy, memo, premiss, to_completion)
             children.append(child)
-            if not to_completion and _last_leaf(child).leaf_status == "open":
+            if not to_completion and _last_leaf(child)[3] == "open":
                 break
-        tree = ProofTree(node, rule.name, (slot, index), tuple(children), None)
+        tree = ProofTree(node, rule.name, occurrence, children, None)
     if memo is not None:
         memo[node] = tree
     return tree

@@ -15,7 +15,7 @@ from trivalent.bisequent import (
     parse_bisequent,
     render_bisequent,
 )
-from trivalent.calculus import apply_rule
+from trivalent.calculus import apply_rule, rule_for
 from trivalent.formula import Atom, Compound, Constant, ParseError
 from trivalent.logics import lookup_logic
 from trivalent.prover import _complete_tree, complete_search
@@ -223,6 +223,29 @@ def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatc
         assert premiss._key == fresh._key and hash(premiss) == hash(fresh)
         assert premiss == fresh
         assert is_axiomatic(logic, premiss) == _reference_axiomatic(logic, premiss)
+
+
+def test_a_slot_in_sorted_order_is_its_own_sorted_form():
+    p, q = Atom("p"), Atom("q")
+    b = bisequent(ant1=(p, q), suc1=(q,), ant2=(q, p), suc2=())
+    ant1, suc1, ant2, suc2 = b._key
+    assert ant1 is b.ant1 and suc1 is b.suc1 and suc2 is b.suc2
+    assert ant2 == (p, q) and b.ant2 == (q, p)
+    assert b == bisequent(ant1=(q, p), suc1=(q,), ant2=(p, q))
+
+
+def test_a_premiss_shares_its_parents_tuples_in_untouched_slots():
+    """An untouched slot of a premiss is the parent's insertion-order
+    tuple and the parent's sorted form; in sorted order the two are one."""
+    b = bp("p & q => r, s | ~t, t => u")
+    rule = rule_for(K3, "and", "ant1")
+    (premiss,) = apply_rule(rule, b, ("ant1", 0))
+    for i, slot in enumerate(("suc1", "ant2", "suc2"), start=1):
+        assert premiss.slot(slot) is b.slot(slot)
+        assert premiss._key[i] is b._key[i]
+    assert premiss._key[1] is b.suc1 and premiss._key[3] is b.suc2
+    assert premiss._key[2] is not b.ant2  # atoms sort before compounds
+    assert premiss.ant1 == (Atom("p"), Atom("q"))
 
 
 def test_records_have_no_instance_dict():

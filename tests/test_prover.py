@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,12 @@ from hypothesis import strategies as st
 
 from trivalent.bisequent import bisequent, is_atomic, parse_bisequent
 from trivalent.calculus import apply_rule, catalog
-from trivalent.formula import Atom, Compound, complexity
+from trivalent.formula import Atom, Compound, complexity, iter_formulas
 from trivalent.logics import Value, lookup_logic
 from trivalent.prover import (
     LeafError,
     ModeMismatchError,
+    ProofTree,
     Proved,
     Refuted,
     _complete_tree,
@@ -129,6 +133,93 @@ class TestCompleteSearch:
         plain = complete_search(K3, b, use_memo=False)
         assert is_proof(tree) == is_proof(plain)
         assert [l.node for l in tree.leaves()] == [l.node for l in plain.leaves()]
+
+
+class TestProofTreeLayout:
+    def test_equals_a_rebuilt_copy(self):
+        def rebuild(t):
+            return ProofTree(
+                node=t.node, rule=t.rule, occurrence=t.occurrence,
+                children=[rebuild(c) for c in t.children], leaf_status=t.leaf_status,
+            )
+
+        proof, refutation = (
+            complete_search(K3, bp(text)) for text in ("p | q => p, q | =>", "p | q => q & p | =>")
+        )
+        for tree in (proof, refutation):
+            twin = rebuild(tree)
+            assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+        assert rebuild(proof) != refutation
+
+    def test_children_are_the_premiss_subtrees_in_order(self):
+        b = bp("p | q => p, q | =>")
+        tree = complete_search(K3, b)
+        premisses = apply_rule(catalog(K3).rule_for("or", "ant1"), b, ("ant1", 0))
+        assert len(premisses) == 2
+        assert tree.children == (complete_search(K3, premisses[0]),
+                                 complete_search(K3, premisses[1]))
+        assert all(leaf.is_leaf and leaf.children == () for leaf in tree.children)
+        assert not tree.is_leaf
+
+    def test_equal_occurrences_share_one_tuple(self):
+        l3 = lookup_logic("L3")
+        tree = complete_search(l3, goal_bisequent(
+            l3, "designated_1", (l3.parse("(p -> q) -> r"),), l3.parse("~r -> ~(p & ~q)")))
+        by_value: dict = {}
+        for node in _nodes(tree):
+            if node.occurrence is not None:
+                by_value.setdefault(node.occurrence, set()).add(id(node.occurrence))
+        assert max(len(ids) for ids in by_value.values()) == 1
+        assert sum(1 for node in _nodes(tree) if node.occurrence is not None) > len(by_value)
+
+
+def _roundtrips(value):
+    yield pickle.loads(pickle.dumps(value))
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+
+
+def test_formulas_bisequents_and_results_survive_pickling_and_copying():
+    k3c = K3.with_constants()
+    f = k3c.parse("p & ~q | T")
+    proved = prove(K3, "designated_1", (K3.parse("p & q"),), K3.parse("q | r"))
+    refuted = prove(K3, "designated_1", (K3.parse("p | q"),), K3.parse("q & p"))
+    assert proved.proved and not refuted.proved
+    for value in (f, Atom("p"), k3c.parse("U"), bp("p & q => q | r => ~p"), proved, refuted):
+        for twin in _roundtrips(value):
+            assert twin == value and type(twin) is type(value)
+
+
+def test_memo_costs_under_340_traced_bytes_per_entry():
+    """One memo per logic over ``run_sweep``'s goal shapes in K3 and L3,
+    with conclusions of up to 2 connectives: each entry keeps a bisequent,
+    its sorted slots and a flat proof node.  With the results dropped, the
+    memos and their roots are all that stays traced."""
+    goals = []
+    for name in ("K3", "L3"):
+        logic = lookup_logic(name)
+        by_count: dict[int, list] = {}
+        for f in iter_formulas(logic.signature, ("p", "q"), 2):
+            by_count.setdefault(complexity(f), []).append(f)
+        upto = lambda n: [f for k in range(n + 1) for f in by_count.get(k, ())]
+        goals += [(logic, (), f) for f in upto(2)]
+        goals += [(logic, (g,), f) for g in upto(1) for f in upto(2)]
+        catalog(logic).rules  # synthesise the rules before tracing starts
+    memos: dict = {}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for logic, premisses, conclusion in goals:
+            root = goal_bisequent(logic, designated_mode(logic), premisses, conclusion)
+            prove_bisequent(logic, root, memo=memos.setdefault(logic.name, {}))
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(map(len, memos.values()))
+    assert entries > 20_000
+    assert used / entries <= 340, used / entries
 
 
 def _nodes(tree):
