@@ -3,7 +3,10 @@
 A bisequent ``G1 => D1 | G2 => D2`` is one record with four slots,
 "ant1", "suc1", "ant2" and "suc2".  Slot contents are multisets: order
 never matters for equality, duplicates do.  In the text format each slot
-is a comma-separated formula list, empty lists allowed.
+is a comma-separated formula list, empty lists allowed.  One splitter
+finds the bar, the arrows and the commas outside parentheses, and
+``parse_formula_list`` serves the slots and the command line's premiss
+lists alike, so an empty item is an error in both.
 
 A formula is a tuple (see ``formula``), so it is its own canonical key:
 a bisequent's key is each slot's formulas sorted, and the axiom test
@@ -43,6 +46,7 @@ __all__ = [
     "is_atomic",
     "is_axiomatic",
     "parse_bisequent",
+    "parse_formula_list",
     "render_bisequent",
 ]
 
@@ -208,6 +212,7 @@ def render_bisequent(b: Bisequent, signature=None) -> str:
 
 
 def _top_level_positions(text: str, needle: str) -> list[int]:
+    """The offsets of ``needle`` in ``text`` outside parentheses."""
     out = []
     depth = 0
     i = 0
@@ -226,31 +231,22 @@ def _top_level_positions(text: str, needle: str) -> list[int]:
     return out
 
 
-def _parse_side(text: str, signature, offset: int) -> tuple[Formula, ...]:
+def parse_formula_list(text: str, signature, offset: int = 0) -> tuple[Formula, ...]:
+    """The formulas of a list cut at its top-level commas (blank text is
+    the empty list); error offsets count from ``offset``."""
     if not text.strip():
         return ()
-    parts: list[Formula] = []
-    depth = 0
-    start = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(_parse_field(text[start:i], signature, offset + start))
-            start = i + 1
-    parts.append(_parse_field(text[start:], signature, offset + start))
-    return tuple(parts)
-
-
-def _parse_field(text: str, signature, offset: int) -> Formula:
-    if not text.strip():
-        raise ParseError("empty formula in sequent", offset)
-    try:
-        return parse_formula(text, signature)
-    except ParseError as exc:
-        raise ParseError(exc.message, offset + exc.position) from None
+    out = []
+    cuts = [-1, *_top_level_positions(text, ","), len(text)]
+    for start, end in zip(cuts, cuts[1:]):
+        item, at = text[start + 1 : end], offset + start + 1
+        if not item.strip():
+            raise ParseError("empty formula in sequent", at)
+        try:
+            out.append(parse_formula(item, signature))
+        except ParseError as exc:
+            raise ParseError(exc.message, at + exc.position) from None
+    return tuple(out)
 
 
 def _parse_sequent(text: str, signature, offset: int) -> tuple | None:
@@ -260,8 +256,8 @@ def _parse_sequent(text: str, signature, offset: int) -> tuple | None:
         return None
     at = arrows[0]
     return (
-        _parse_side(text[:at], signature, offset),
-        _parse_side(text[at + 2 :], signature, offset + at + 2),
+        parse_formula_list(text[:at], signature, offset),
+        parse_formula_list(text[at + 2 :], signature, offset + at + 2),
     )
 
 

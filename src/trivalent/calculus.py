@@ -44,7 +44,6 @@ __all__ = [
     "RuleVerdict",
     "apply_rule",
     "catalog",
-    "rule_for",
     "synthesize_rules",
     "verify_rule_schema",
 ]
@@ -169,10 +168,6 @@ def catalog(logic: LogicDef) -> Catalog:
     by a rule synthesised from its table or, where the table never meets
     the slot constraint, by an axiom schema."""
     return Catalog(logic)
-
-
-def rule_for(logic: LogicDef, connective: str, slot: str) -> RuleSchema | None:
-    return catalog(logic).rule_for(connective, slot)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import calculus, interpolation, prover, semantics
-from .bisequent import parse_bisequent, render_bisequent
+from .bisequent import parse_bisequent, parse_formula_list, render_bisequent
 from .formula import ParseError, parse_formula
 from .logics import (
     _VALUE_BY_SYMBOL,
@@ -39,12 +39,7 @@ def _logic(args) -> LogicDef:
 
 def _parse_goal(logic: LogicDef, premiss_text: str, conclusion_text: str):
     sig = logic.signature
-    premisses = tuple(
-        parse_formula(part, sig)
-        for part in premiss_text.split(",")
-        if part.strip()
-    )
-    return premisses, parse_formula(conclusion_text, sig)
+    return parse_formula_list(premiss_text, sig), parse_formula(conclusion_text, sig)
 
 
 def _emit(args, payload: dict, text: str) -> None:

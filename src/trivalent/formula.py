@@ -20,6 +20,9 @@ syntax is signature-relative:
 * ``T``/``F``/``U`` are the true/false/undefined constants,
 * precedence: prefix operators bind tightest, then ``&``, then ``|``, then
   ``->``; ``->`` is right-associative, ``&`` and ``|`` left-associative.
+  ``and_l``, ``o1`` and ``o2`` bind like ``&``, ``or_l`` like ``|``.  One
+  operator table, ``_LEVEL_BY_TOKEN``, is the single source of these
+  levels for both the parser and the renderer.
 """
 from __future__ import annotations
 
@@ -251,6 +254,14 @@ def _token_map(signature: frozenset[str]) -> dict[str, str]:
 #: walk the formula later
 MAX_NESTING = 100
 
+#: the operator table: each binary operator token's level, loosest first.
+#: Prefix operators bind tighter than all of them; ``->`` alone associates
+#: to the right.
+_PREC_IMPL, _PREC_DISJ, _PREC_CONJ, _PREC_PREFIX, _PREC_ATOM = 1, 2, 3, 4, 5
+_LEVEL_BY_TOKEN = {"->": _PREC_IMPL, "|": _PREC_DISJ, "or_l": _PREC_DISJ,
+                   "&": _PREC_CONJ, "and_l": _PREC_CONJ, "o1": _PREC_CONJ,
+                   "o2": _PREC_CONJ}
+
 _TOKEN_RE = re.compile(r"->|[~&|(),]|[a-zA-Z][a-zA-Z0-9_]*")
 _WS_RE = re.compile(r"\s*")
 
@@ -302,68 +313,43 @@ class _Parser:
         self.depth -= 1
         return f
 
-    def _generic(self, token: str, position: int) -> str:
-        target = _resolve_generic(token, self.signature)
-        if target is None:
+    def _connective(self, token: str, position: int) -> str:
+        """The connective id an operator token denotes in the signature."""
+        cid = _KEYWORD_TO_ID.get(token) or _resolve_generic(token, self.signature)
+        if cid not in self.signature:
             raise UnknownConnectiveError(token, position)
-        return target
+        return cid
 
     def parse(self) -> Formula:
-        f = self.parse_impl()
+        f = self.parse_infix()
         if self.pos < len(self.tokens):
             tok, at = self.tokens[self.pos]
             raise ParseError(f"unexpected token {tok!r}", at)
         return f
 
-    def parse_impl(self) -> Formula:
-        left = self.parse_disj()
-        if self._peek() == "->":
-            _, at = self._next()
-            cid = self._generic("->", at)
-            right = self._nested(self.parse_impl, at)  # right-associative
-            return Compound(cid, (left, right))
-        return left
-
-    def parse_disj(self) -> Formula:
-        left = self.parse_conj()
-        while self._peek() in ("|", "or_l"):
-            tok, at = self._next()
-            cid = self._keyword_or_generic(tok, at)
-            left = Compound(cid, (left, self.parse_conj()))
-        return left
-
-    def parse_conj(self) -> Formula:
+    def parse_infix(self, lowest: int = _PREC_IMPL) -> Formula:
+        """Binary operators of level ``lowest`` or tighter: one level's
+        chain is read in the loop, a tighter level's by recursion."""
         left = self.parse_prefix()
-        while self._peek() in ("&", "and_l", "o1", "o2"):
+        while (level := _LEVEL_BY_TOKEN.get(self._peek(), 0)) >= lowest:
             tok, at = self._next()
-            cid = self._keyword_or_generic(tok, at)
-            left = Compound(cid, (left, self.parse_prefix()))
+            cid = self._connective(tok, at)
+            if level == _PREC_IMPL:  # right-associative
+                right = self._nested(self.parse_infix, at)
+            else:
+                right = self.parse_infix(level + 1)
+            left = Compound(cid, (left, right))
         return left
-
-    def _keyword_or_generic(self, token: str, position: int) -> str:
-        if token in _KEYWORD_TO_ID:
-            cid = _KEYWORD_TO_ID[token]
-            if cid not in self.signature:
-                raise UnknownConnectiveError(token, position)
-            return cid
-        return self._generic(token, position)
 
     def parse_prefix(self) -> Formula:
-        tok = self._peek()
-        if tok == "~":
-            _, at = self._next()
-            cid = self._generic("~", at)
-            return Compound(cid, (self._nested(self.parse_prefix, at),))
-        if tok in ("neg_h", "neg_b", "neg_p", "neg_dp", "box", "dia"):
-            token, at = self._next()
-            cid = self._keyword_or_generic(token, at)
-            return Compound(cid, (self._nested(self.parse_prefix, at),))
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
+        """A prefix operator applied, a parenthesised formula, a constant or
+        an atom."""
         tok, at = self._next()
+        if tok == "~" or CONNECTIVES.get(_KEYWORD_TO_ID.get(tok)) == 1:
+            cid = self._connective(tok, at)
+            return Compound(cid, (self._nested(self.parse_prefix, at),))
         if tok == "(":
-            f = self._nested(self.parse_impl, at)
+            f = self._nested(self.parse_infix, at)
             if self._peek() != ")":
                 raise ParseError("expected ')'", self._here())
             self._next()
@@ -383,46 +369,30 @@ def parse_formula(text: str, signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PREC_IMPL, _PREC_DISJ, _PREC_CONJ, _PREC_PREFIX = 1, 2, 3, 4
-_LEVEL_BY_TOKEN = {"->": _PREC_IMPL, "|": _PREC_DISJ, "or_l": _PREC_DISJ,
-                   "&": _PREC_CONJ, "and_l": _PREC_CONJ, "o1": _PREC_CONJ,
-                   "o2": _PREC_CONJ}
-
-
-def _level(f: Formula, tokens: Mapping[str, str]) -> int:
-    if not isinstance(f, Compound):
-        return 5
-    tok = tokens.get(f.connective)
-    if tok is None:
-        raise RenderError(f"no surface syntax for {f.connective!r}")
-    if CONNECTIVES[f.connective] == 1:
-        return _PREC_PREFIX
-    return _LEVEL_BY_TOKEN[tok]
-
-
-def _render(f: Formula, tokens: Mapping[str, str]) -> str:
+def _render(f: Formula, tokens: Mapping[str, str]) -> tuple[str, int]:
+    """``f``'s text and the level of its main operator (``_PREC_ATOM`` for
+    an atom or a constant)."""
     if isinstance(f, Atom):
-        return f.name
+        return f.name, _PREC_ATOM
     if isinstance(f, Constant):
-        return _CONSTANT_SYMBOL[f.kind]
+        return _CONSTANT_SYMBOL[f.kind], _PREC_ATOM
     tok = tokens.get(f.connective)
     if tok is None:
         raise RenderError(f"no surface syntax for {f.connective!r}")
     if CONNECTIVES[f.connective] == 1:
-        inner = _render(f.args[0], tokens)
-        if _level(f.args[0], tokens) < _PREC_PREFIX:
+        inner, inner_level = _render(f.args[0], tokens)
+        if inner_level < _PREC_PREFIX:
             inner = f"({inner})"
-        return f"~{inner}" if tok == "~" else f"{tok} {inner}"
-    lvl = _LEVEL_BY_TOKEN[tok]
+        return (f"~{inner}" if tok == "~" else f"{tok} {inner}"), _PREC_PREFIX
+    level = _LEVEL_BY_TOKEN[tok]
     left, right = f.args
-    ls = _render(left, tokens)
-    rs = _render(right, tokens)
+    (ls, left_level), (rs, right_level) = _render(left, tokens), _render(right, tokens)
     # implication associates right, the conjunction/disjunction levels left
-    if _level(left, tokens) < lvl or (_level(left, tokens) == lvl and lvl == _PREC_IMPL):
+    if left_level < level + (level == _PREC_IMPL):
         ls = f"({ls})"
-    if _level(right, tokens) < lvl or (_level(right, tokens) == lvl and lvl != _PREC_IMPL):
+    if right_level < level + (level != _PREC_IMPL):
         rs = f"({rs})"
-    return f"{ls} {tok} {rs}"
+    return f"{ls} {tok} {rs}", level
 
 
 def render(f: Formula, signature=None) -> str:
@@ -433,7 +403,7 @@ def render(f: Formula, signature=None) -> str:
     logic's signature.
     """
     sig = frozenset(signature) if signature is not None else connectives_of(f)
-    return _render(f, _token_map(sig))
+    return _render(f, _token_map(sig))[0]
 
 
 # ---------------------------------------------------------------------------

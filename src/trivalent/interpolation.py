@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .bisequent import Bisequent, bisequent, clashes
 from .formula import Atom, Compound, Formula, _resolve_generic, atoms
-from .logics import LogicDef
+from .logics import SLOTS, LogicDef
 from .prover import _complete_tree, designated_mode, prove
 from .semantics import DEFAULT_ATOM_CAP, matrix_consequence
 
@@ -158,14 +158,11 @@ def _disjunct(logic: LogicDef, primed: LeafAtoms) -> Formula:
             for a in sorted(names)
         ]
 
-    if logic.goal_mode == 1:
-        pos, negd, inner_neg, inner_pos = (
-            primed.ant1, primed.suc2, primed.ant2, primed.suc1,
-        )
-    else:
-        pos, negd, inner_neg, inner_pos = (
-            primed.ant2, primed.suc1, primed.ant1, primed.suc2,
-        )
+    ant, suc = logic.goal_slots
+    other_ant, other_suc = (s for s in SLOTS if s not in (ant, suc))
+    pos, negd, inner_neg, inner_pos = (
+        getattr(primed, s) for s in (ant, other_suc, other_ant, suc)
+    )
     conjuncts = literals(pos)
     if logic.name == "G3":
         ant2, suc2 = literals(inner_neg), literals(negd)
@@ -199,14 +196,9 @@ def _disjunct(logic: LogicDef, primed: LeafAtoms) -> Formula:
 def _build_trees(
     logic: LogicDef, phi: Formula, psi: Formula
 ) -> tuple[list[LeafAtoms], list[LeafAtoms]]:
-    if logic.goal_mode == 1:
-        root_phi = bisequent(ant1=(phi,))
-        root_psi = bisequent(suc1=(psi,))
-    else:
-        root_phi = bisequent(ant2=(phi,))
-        root_psi = bisequent(suc2=(psi,))
-    leaves_phi = _open_leaf_atoms(logic, root_phi)
-    leaves_psi = _open_leaf_atoms(logic, root_psi)
+    ant, suc = logic.goal_slots
+    leaves_phi = _open_leaf_atoms(logic, bisequent(**{ant: (phi,)}))
+    leaves_psi = _open_leaf_atoms(logic, bisequent(**{suc: (psi,)}))
     if not leaves_phi:
         raise NotContingentError(
             "left formula is not contingent (its proof-search tree has no open leaf)"

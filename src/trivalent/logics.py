@@ -20,6 +20,7 @@ __all__ = [
     "VALUES",
     "TruthTable",
     "LogicDef",
+    "GOAL_SLOTS",
     "SLOTS",
     "slot_admits",
     "UnknownLogicError",
@@ -61,6 +62,15 @@ _VALUE_BY_SYMBOL = {v.value: v for v in VALUES}
 
 #: the four formula positions of a bisequent
 SLOTS = ("ant1", "suc1", "ant2", "suc2")
+
+#: proof goal shapes: a goal's premiss and conclusion slots by goal mode;
+#: the designated modes host matrix consequence
+GOAL_SLOTS = {
+    "designated_1": ("ant1", "suc1"),
+    "designated_2": ("ant2", "suc2"),
+    "no_counterexample": ("ant1", "suc2"),
+    "liberal": ("ant2", "suc1"),
+}
 
 
 def slot_admits(slot: str, v: Value) -> bool:
@@ -147,6 +157,11 @@ class LogicDef:
         return 1 if self.designated == frozenset((Value.ONE,)) else 2
 
     @cached_property
+    def goal_slots(self) -> tuple[str, str]:
+        """The premiss and conclusion slots of a consequence goal."""
+        return GOAL_SLOTS[f"designated_{self.goal_mode}"]
+
+    @cached_property
     def signature(self) -> frozenset[str]:
         return frozenset(self.connectives)
 
@@ -185,13 +200,12 @@ class LogicDef:
             constants_enabled=True,
         )
 
-    def extended(self, extra: Iterable[str], name: str | None = None) -> "LogicDef":
+    def extended(self, extra: Iterable[str]) -> "LogicDef":
         """The logic with extra connectives added to its signature."""
         added = tuple(c for c in extra if c not in self.signature)
-        conns = self.connectives + added
         return LogicDef(
-            name=name or (self.name + "".join(f"+{c}" for c in added)),
-            connectives=conns,
+            name=self.name + "".join(f"+{c}" for c in added),
+            connectives=self.connectives + added,
             designated=self.designated,
             constants_enabled=self.constants_enabled,
         )

@@ -44,7 +44,7 @@ from .bisequent import (
 )
 from .calculus import Catalog, apply_rule, catalog
 from .formula import Atom, Compound, Constant, Formula
-from .logics import EvaluationError, LogicDef, Value
+from .logics import GOAL_SLOTS, EvaluationError, LogicDef, Value
 
 __all__ = [
     "GOAL_MODES",
@@ -62,9 +62,8 @@ __all__ = [
     "prove_bisequent",
 ]
 
-#: proof goal shapes: the designated modes host matrix consequence, the
-#: other two change only where premisses and conclusion sit in the root
-GOAL_MODES = ("designated_1", "designated_2", "no_counterexample", "liberal")
+#: the proof goal shapes, named as in ``logics.GOAL_SLOTS``
+GOAL_MODES = tuple(GOAL_SLOTS)
 
 
 class ModeMismatchError(ValueError):
@@ -339,26 +338,18 @@ def goal_bisequent(
     premisses: Iterable[Formula],
     conclusion: Formula,
 ) -> Bisequent:
-    premisses = tuple(premisses)
-    if mode not in GOAL_MODES:
+    if mode not in GOAL_SLOTS:
         raise ModeMismatchError(f"unknown goal mode {mode!r}")
-    if mode == "designated_1":
-        if logic.goal_mode != 1:
-            raise ModeMismatchError(
-                f"{logic.name} has two designated values; its consequence goals "
-                f"live in the second sequent (designated_2)"
-            )
-        return bisequent(ant1=premisses, suc1=(conclusion,))
-    if mode == "designated_2":
-        if logic.goal_mode != 2:
-            raise ModeMismatchError(
-                f"{logic.name} has one designated value; its consequence goals "
-                f"live in the first sequent (designated_1)"
-            )
-        return bisequent(ant2=premisses, suc2=(conclusion,))
-    if mode == "no_counterexample":
-        return bisequent(ant1=premisses, suc2=(conclusion,))
-    return bisequent(suc1=(conclusion,), ant2=premisses)  # liberal
+    expected = designated_mode(logic)
+    if mode != expected and mode.startswith("designated_"):
+        values = "one designated value" if logic.goal_mode == 1 else "two designated values"
+        sequent = "first" if logic.goal_mode == 1 else "second"
+        raise ModeMismatchError(
+            f"{logic.name} has {values}; its consequence goals live in the "
+            f"{sequent} sequent ({expected})"
+        )
+    ant, suc = GOAL_SLOTS[mode]
+    return bisequent(**{ant: premisses, suc: (conclusion,)})
 
 
 def prove_bisequent(

@@ -190,7 +190,7 @@ def matrix_consequence(
     conclusion designated.  For one designated value this coincides with
     validity of ``premisses => conclusion | =>``, for two with validity of
     ``=> | premisses => conclusion``."""
-    ant, suc = ("ant1", "suc1") if logic.goal_mode == 1 else ("ant2", "suc2")
+    ant, suc = logic.goal_slots
     items = [(ant, p) for p in premisses]
     items.append((suc, conclusion))
     return not _falsifying_mask(logic, items, max_atoms)[1]

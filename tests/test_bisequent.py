@@ -15,7 +15,7 @@ from trivalent.bisequent import (
     parse_bisequent,
     render_bisequent,
 )
-from trivalent.calculus import apply_rule, rule_for
+from trivalent.calculus import apply_rule, catalog
 from trivalent.formula import Atom, Compound, Constant, ParseError
 from trivalent.logics import lookup_logic
 from trivalent.prover import _complete_tree, complete_search
@@ -238,7 +238,7 @@ def test_a_premiss_shares_its_parents_tuples_in_untouched_slots():
     """An untouched slot of a premiss is the parent's insertion-order
     tuple and the parent's sorted form; in sorted order the two are one."""
     b = bp("p & q => r, s | ~t, t => u")
-    rule = rule_for(K3, "and", "ant1")
+    rule = catalog(K3).rule_for("and", "ant1")
     (premiss,) = apply_rule(rule, b, ("ant1", 0))
     for i, slot in enumerate(("suc1", "ant2", "suc2"), start=1):
         assert premiss.slot(slot) is b.slot(slot)

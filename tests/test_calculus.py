@@ -13,7 +13,6 @@ from trivalent.calculus import (
     RuleSchema,
     apply_rule,
     catalog,
-    rule_for,
     synthesize_rules,
     verify_axiom_schema,
     verify_rule_schema,
@@ -31,11 +30,11 @@ PAL = lookup_logic("Palasinska1")
 
 class TestCatalog:
     def test_kleene_negation_rule_shape(self):
-        rule = rule_for(K3, "neg", "ant1")
+        rule = catalog(K3).rule_for("neg", "ant1")
         assert rule.premisses == (PremissSchema((Placement("suc2", 0),)),)
 
     def test_lukasiewicz_implication_has_three_premisses(self):
-        rule = rule_for(L3, "impl_l", "ant1")
+        rule = catalog(L3).rule_for("impl_l", "ant1")
         assert len(rule.premisses) == 3
 
     def test_palasinska_axiom_schema(self):
@@ -57,11 +56,11 @@ class TestCatalog:
     def test_shared_rules_are_links_not_copies(self):
         # logics sharing a table see the identical synthesised rule object
         lp = lookup_logic("LP")
-        assert rule_for(K3, "neg", "ant1") is rule_for(lp, "neg", "ant1")
+        assert catalog(K3).rule_for("neg", "ant1") is catalog(lp).rule_for("neg", "ant1")
         # connectives whose tables agree on a slot get the same premisses
         assert (
-            rule_for(lookup_logic("GM3"), "impl_sl", "ant2").premisses
-            == rule_for(K3, "impl", "ant2").premisses
+            catalog(lookup_logic("GM3")).rule_for("impl_sl", "ant2").premisses
+            == catalog(K3).rule_for("impl", "ant2").premisses
         )
 
 
@@ -93,13 +92,13 @@ class TestRuleFileLoader:
 class TestApplyRule:
     def test_negation_moves_argument_across_sequents(self):
         b = parse_bisequent("~p, q => | =>", K3.signature)
-        rule = rule_for(K3, "neg", "ant1")
+        rule = catalog(K3).rule_for("neg", "ant1")
         out = apply_rule(rule, b, ("ant1", 0))
         assert out == [parse_bisequent("q => | => p", K3.signature)]
 
     def test_branching_conjunction(self):
         b = parse_bisequent("=> p & q | r =>", K3.signature)
-        rule = rule_for(K3, "and", "suc1")
+        rule = catalog(K3).rule_for("and", "suc1")
         out = apply_rule(rule, b, ("suc1", 0))
         assert out == [
             parse_bisequent("=> p | r =>", K3.signature),
@@ -109,22 +108,22 @@ class TestApplyRule:
     def test_post_negation_places_one_argument_twice(self):
         p3 = lookup_logic("P3")
         b = parse_bisequent("=> | => neg_p p", p3.signature)
-        rule = rule_for(p3, "neg_p", "suc2")
+        rule = catalog(p3).rule_for("neg_p", "suc2")
         out = apply_rule(rule, b, ("suc2", 0))
         assert out == [parse_bisequent("=> p | p =>", p3.signature)]
 
     def test_occurrence_must_match_rule(self):
         b = parse_bisequent("p & q => | =>", K3.signature)
         with pytest.raises(OccurrenceError):
-            apply_rule(rule_for(K3, "neg", "ant1"), b, ("ant1", 0))
+            apply_rule(catalog(K3).rule_for("neg", "ant1"), b, ("ant1", 0))
         with pytest.raises(OccurrenceError):
-            apply_rule(rule_for(K3, "and", "suc1"), b, ("suc1", 0))
+            apply_rule(catalog(K3).rule_for("and", "suc1"), b, ("suc1", 0))
         with pytest.raises(OccurrenceError):
-            apply_rule(rule_for(K3, "and", "ant1"), b, ("ant1", 3))
+            apply_rule(catalog(K3).rule_for("and", "ant1"), b, ("ant1", 3))
 
     def test_contexts_are_inherited_unchanged(self):
         b = parse_bisequent("p -> q, r => s | t => v", K3.signature)
-        rule = rule_for(K3, "impl", "ant1")
+        rule = catalog(K3).rule_for("impl", "ant1")
         out = apply_rule(rule, b, ("ant1", 0))
         for premiss in out:
             assert premiss.slot("suc1").count(b.slot("suc1")[0]) == 1
@@ -142,7 +141,7 @@ class TestApplyRule:
         # the principal occurrence leaves its place; each placement appends
         # its subformula to its slot, in placement order
         b = parse_bisequent(text, K3.signature)
-        out = apply_rule(rule_for(K3, connective, occurrence[0]), b, occurrence)
+        out = apply_rule(catalog(K3).rule_for(connective, occurrence[0]), b, occurrence)
         assert _slot_texts(out) == [expected]
 
 
@@ -181,7 +180,7 @@ class TestVerifyRuleSchema:
 
     def test_second_sobocinski_implication(self):
         s3p = lookup_logic("S3prime")
-        assert verify_rule_schema(s3p, rule_for(s3p, "impl_sp", "suc1")).ok
+        assert verify_rule_schema(s3p, catalog(s3p).rule_for("impl_sp", "suc1")).ok
 
     def test_subformula_property(self):
         # premisses only ever mention immediate subformulas
@@ -205,7 +204,7 @@ def test_apply_rule_roundtrip(name):
         if not isinstance(f, Compound):
             return
         for slot in SLOTS:
-            rule = rule_for(logic, f.connective, slot)
+            rule = catalog(logic).rule_for(f.connective, slot)
             if rule is None:
                 continue
             b = bisequent().add(slot, f).add("suc1", logic.parse("ctx"))

@@ -100,6 +100,30 @@ class TestProve:
         assert code == 2
         assert "offset 3" in err
 
+    def test_premiss_errors_report_offsets_within_the_argument(self, capsys):
+        for argv, message in (
+            (("prove", "--logic", "K3", "p,   q @ r", "r"),
+             "unexpected character '@' (at offset 7)"),
+            (("check-semantic", "--logic", "K3", "p, q, box r", "r"),
+             "connective 'box' is not in the signature (at offset 6)"),
+            (("countermodel", "--logic", "K3", "q, p & (r @ s)", "r"),
+             "unexpected character '@' (at offset 10)"),
+        ):
+            code, out, err = call(capsys, *argv)
+            assert code == 2, argv
+            assert not out
+            assert err == f"error: {message}\n"
+
+    def test_empty_premiss_item_is_an_input_error(self, capsys):
+        for command in ("prove", "check-semantic", "countermodel"):
+            for premisses, offset in (("p,,q", 2), ("p,", 2), (", p", 0)):
+                code, out, err = call(capsys, command, "--logic", "K3", premisses, "q")
+                assert code == 2, (command, premisses)
+                assert not out
+                assert err == f"error: empty formula in sequent (at offset {offset})\n"
+        # no premisses at all is still the empty list
+        assert call(capsys, "prove", "--logic", "K3", " ", "p | ~p")[0] == 1
+
     def test_internal_value_error_exits_three(self, capsys, monkeypatch):
         from trivalent import prover
 

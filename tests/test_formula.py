@@ -233,3 +233,75 @@ def test_render_uses_minimal_parentheses():
     assert render(g, K3_SIG) == "(p -> q) -> r"
     h = p("p & (q | r)")
     assert render(h, K3_SIG) == "p & (q | r)"
+
+
+#: malformed input per logic: the error class, message and offset
+_MALFORMED = {
+    "p &": {"K3": ("ParseError", "unexpected end of input", 3),
+            "P3": ("UnknownConnectiveError", "connective '&' is not in the signature", 2)},
+    "p @ q": {"*": ("ParseError", "unexpected character '@'", 2)},
+    "(p": {"*": ("ParseError", "expected ')'", 2)},
+    "p q": {"*": ("ParseError", "unexpected token 'q'", 2)},
+    "box": {"K3": ("UnknownConnectiveError", "connective 'box' is not in the signature", 0),
+            "J3": ("ParseError", "unexpected end of input", 3)},
+    "~": {"K3": ("ParseError", "unexpected end of input", 1),
+          "Palasinska1": ("UnknownConnectiveError", "connective '~' is not in the signature", 0)},
+    "p ->": {"K3": ("ParseError", "unexpected end of input", 4),
+             "P3": ("UnknownConnectiveError", "connective '->' is not in the signature", 2)},
+    "p | | q": {"K3": ("ParseError", "unexpected token '|'", 4),
+                "Palasinska1": ("UnknownConnectiveError", "connective '|' is not in the signature", 2)},
+    "o1 p": {"*": ("ParseError", "unexpected token 'o1'", 0)},
+    "p o2 q": {"*": ("UnknownConnectiveError", "connective 'o2' is not in the signature", 2)},
+    ")": {"*": ("ParseError", "unexpected token ')'", 0)},
+    "p -> (q": {"K3": ("ParseError", "expected ')'", 7),
+                "P3": ("UnknownConnectiveError", "connective '->' is not in the signature", 2)},
+}
+#: where a logic has no entry of its own it errs as this one does
+_LIKE = {"K3": "*", "J3": "K3", "P3": "K3", "Palasinska1": "P3"}
+
+
+@pytest.mark.parametrize("name", ("K3", "J3", "P3", "Palasinska1"))
+@pytest.mark.parametrize("text", list(_MALFORMED))
+def test_malformed_input_golden(name, text):
+    expected = _MALFORMED[text]
+    key = name
+    while key not in expected:
+        key = _LIKE[key]
+    kind, message, offset = expected[key]
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, lookup_logic(name).signature)
+    assert (type(exc.value).__name__, exc.value.message, exc.value.position) == (
+        kind, message, offset
+    )
+    assert str(exc.value) == f"{message} (at offset {offset})"
+
+
+@pytest.mark.parametrize("name, tree, text", [
+    ("L3", ("or_l", ("and_l", "p", "q"), "r"), "p and_l q or_l r"),
+    ("L3", ("or_l", "p", ("and_l", "q", "r")), "p or_l q and_l r"),
+    ("L3", ("and_l", ("or_l", "p", "q"), "r"), "(p or_l q) and_l r"),
+    ("L3", ("and_l", ("and_l", "p", "q"), "r"), "p and_l q and_l r"),
+    ("L3", ("and_l", "p", ("and_l", "q", "r")), "p and_l (q and_l r)"),
+    ("L3", ("or_l", "p", ("or_l", "q", "r")), "p or_l (q or_l r)"),
+    ("L3", ("impl_l", ("neg", ("and_l", "p", "q")), ("or_l", "r", "s")),
+     "~(p and_l q) -> r or_l s"),
+    ("L3", ("impl_l", "p", ("impl_l", ("impl_l", "q", "r"), "s")), "p -> (q -> r) -> s"),
+    ("L3", ("and", ("and_l", ("impl_l", "p", "q"), "r"), "s"), "(p -> q) and_l r & s"),
+    ("L3", ("or", ("or_l", ("and", "p", "q"), "r"), "s"), "p & q or_l r | s"),
+    ("L3", ("neg", ("neg", ("or_l", "p", "q"))), "~~(p or_l q)"),
+    ("L3", ("impl_l", ("and_l", "p", "q"), ("impl_l", ("and_l", "r", "s"), "t")),
+     "p and_l q -> r and_l s -> t"),
+    ("L3", ("and_l", ("impl_l", "p", "q"), ("or", "r", "s")), "(p -> q) and_l (r | s)"),
+    ("Palasinska1", ("circ1", ("circ1", "p", "q"), "r"), "p o1 q o1 r"),
+    ("Palasinska1", ("circ1", "p", ("circ1", "q", "r")), "p o1 (q o1 r)"),
+    ("Palasinska1", ("circ1", ("circ1", "p", "q"), ("circ1", "r", "s")),
+     "p o1 q o1 (r o1 s)"),
+])
+def test_render_golden(name, tree, text):
+    def build(t):
+        return Atom(t) if isinstance(t, str) else Compound(t[0], tuple(map(build, t[1:])))
+
+    sig = lookup_logic(name).signature
+    f = build(tree)
+    assert render(f, sig) == text
+    assert parse_formula(text, sig) == f

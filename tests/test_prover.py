@@ -81,8 +81,6 @@ class TestCompleteSearch:
         assert tree.is_leaf and tree.leaf_status == "axiomatic"
 
     def test_children_are_exactly_the_rule_premisses(self):
-        from trivalent.calculus import rule_for
-
         tree = _complete_tree(K3, bp("p -> q => p & q | r => ~r"), {})
         stack = [tree]
         while stack:
@@ -92,7 +90,7 @@ class TestCompleteSearch:
                 continue
             slot, index = node.occurrence
             f = node.node.slot(slot)[index]
-            rule = rule_for(K3, f.connective, slot)
+            rule = catalog(K3).rule_for(f.connective, slot)
             assert rule.name == node.rule
             premisses = apply_rule(rule, node.node, node.occurrence)
             assert [c.node for c in node.children] == premisses
@@ -484,6 +482,20 @@ class TestGoalModes:
             result = prove(logic, mode, (premiss,), conclusion)
             root = goal_bisequent(logic, mode, (premiss,), conclusion)
             assert result.proved == bisequent_valid(logic, root)
+
+    def test_mode_mismatch_messages(self):
+        p = K3.parse("p")
+        golden = {
+            (K3, "designated_2"): "K3 has one designated value; its consequence "
+            "goals live in the first sequent (designated_1)",
+            (LP, "designated_1"): "LP has two designated values; its consequence "
+            "goals live in the second sequent (designated_2)",
+            (K3, "designated"): "unknown goal mode 'designated'",
+        }
+        for (logic, mode), message in golden.items():
+            with pytest.raises(ModeMismatchError) as exc:
+                goal_bisequent(logic, mode, (p,), p)
+            assert str(exc.value) == message
 
     def test_liberal_and_no_counterexample_differ_from_designated(self):
         # p & q entails p in no-counterexample mode even in LP-style logics
