@@ -6,7 +6,9 @@ never matters for equality, duplicates do.  In the text format each slot
 is a comma-separated formula list, empty lists allowed.  One splitter
 finds the bar, the arrows and the commas outside parentheses, and
 ``parse_formula_list`` serves the slots and the command line's premiss
-lists alike, so an empty item is an error in both.
+lists alike, so an empty item is an error in both.  An error inside an
+item keeps its class (``UnknownConnectiveError`` keeps its ``.token``),
+shifted to its offset in the whole text.
 
 A formula is a tuple (see ``formula``), so it is its own canonical key:
 a bisequent's key is each slot's formulas sorted, and the axiom test
@@ -245,7 +247,7 @@ def parse_formula_list(text: str, signature, offset: int = 0) -> tuple[Formula, 
         try:
             out.append(parse_formula(item, signature))
         except ParseError as exc:
-            raise ParseError(exc.message, at + exc.position) from None
+            raise exc.shifted(at) from None
     return tuple(out)
 
 

@@ -19,6 +19,7 @@ from .bisequent import parse_bisequent, parse_formula_list, render_bisequent
 from .formula import ParseError, parse_formula
 from .logics import (
     _VALUE_BY_SYMBOL,
+    GOAL_SLOTS,
     SLOTS,
     EvaluationError,
     LogicDef,
@@ -49,10 +50,17 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+#: ``--mode`` spellings of the goal modes other than the designated ones,
+#: which ``--mode designated`` picks by the logic's designated set
+_MODE_BY_FLAG = {
+    mode.replace("_", "-"): mode for mode in GOAL_SLOTS if not mode.startswith("designated_")
+}
+
+
 def _mode_for(logic: LogicDef, mode_flag: str) -> str:
     if mode_flag == "designated":
         return prover.designated_mode(logic)
-    return mode_flag.replace("-", "_")
+    return _MODE_BY_FLAG[mode_flag]
 
 
 def _render_countermodel(cm) -> str:
@@ -297,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--mode",
-        choices=("designated", "no-counterexample", "liberal"),
+        choices=("designated", *_MODE_BY_FLAG),
         default="designated",
         help="goal shape (designated follows the logic's designated set)",
     )

@@ -107,6 +107,10 @@ class ParseError(ValueError):
         self.message = message
         self.position = position
 
+    def shifted(self, offset: int) -> ParseError:
+        """The same error ``offset`` characters further on."""
+        return ParseError(self.message, self.position + offset)
+
 
 class UnknownConnectiveError(ParseError):
     """A connective token that the signature does not provide."""
@@ -114,6 +118,9 @@ class UnknownConnectiveError(ParseError):
     def __init__(self, token: str, position: int):
         super().__init__(f"connective {token!r} is not in the signature", position)
         self.token = token
+
+    def shifted(self, offset: int) -> UnknownConnectiveError:
+        return UnknownConnectiveError(self.token, self.position + offset)
 
 
 class RenderError(ValueError):

@@ -13,6 +13,18 @@ evaluation of ``(slot, formula)`` pairs, which evaluates every formula:
 a constant in a logic without constants raises ``EvaluationError``
 whatever the other formulas evaluate to.
 
+``falsifying_assignments`` lists the mask's assignments without a Python
+step per assignment.  One ``bytes.translate`` of the mask's binary digits
+gives a 0/1 selector that ``itertools.compress`` reads in C.  The sorted
+atoms are split into a high and a low half, and the half-assignments of
+each are built once per call; the assignments under one high half are a
+block of consecutive bits, so each selected assignment is one merge
+``high | low``.  Each high half already holds every name, in sorted
+order, so the merge keeps ``assignments_over``'s key order and never
+resizes.  A block with no selected bit is skipped, and an empty mask
+builds nothing.  Every returned dict is new; nothing is kept between
+calls.
+
 ``evaluate`` (from ``logics``), ``falsifies`` and ``assignments_over``
 stay as the per-assignment reference; countermodel checks use them.
 """
@@ -160,6 +172,10 @@ def _falsifying_mask(
     return names, out
 
 
+#: maps the digits of ``bin`` to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _slot_items(b: Bisequent) -> Iterator[tuple[str, Formula]]:
     return ((slot, f) for slot, _, f in b.formulas())
 
@@ -169,9 +185,29 @@ def falsifying_assignments(
 ) -> list[dict[str, Value]]:
     """Every assignment that falsifies ``b``, in ``assignments_over`` order."""
     names, mask = _falsifying_mask(logic, _slot_items(b), max_atoms)
-    selected = map("1".__eq__, bin(mask)[:1:-1])  # bit i first
-    pairs = itertools.product(*([(name, v) for v in VALUES] for name in names))
-    return list(map(dict, itertools.compress(pairs, selected)))
+    if not mask:
+        return []
+    split = len(names) // 2
+    low_names = names[split:]
+    # every high half carries all the names, so ``high | low`` keeps the
+    # sorted key order and only overwrites the low names' placeholders
+    padding = (None,) * len(low_names)
+    highs = [
+        dict(zip(names, combo + padding))
+        for combo in itertools.product(VALUES, repeat=split)
+    ]
+    lows = [
+        dict(zip(low_names, combo))
+        for combo in itertools.product(VALUES, repeat=len(low_names))
+    ]
+    selector = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # bit i first
+    width = len(lows)
+    out: list[dict[str, Value]] = []
+    for start, high in zip(range(0, len(selector), width), highs):
+        block = selector[start : start + width]
+        if 1 in block:
+            out.extend(map(high.__or__, itertools.compress(lows, block)))
+    return out
 
 
 def bisequent_valid(

@@ -13,10 +13,17 @@ from trivalent.bisequent import (
     is_atomic,
     is_axiomatic,
     parse_bisequent,
+    parse_formula_list,
     render_bisequent,
 )
 from trivalent.calculus import apply_rule, catalog
-from trivalent.formula import Atom, Compound, Constant, ParseError
+from trivalent.formula import (
+    Atom,
+    Compound,
+    Constant,
+    ParseError,
+    UnknownConnectiveError,
+)
 from trivalent.logics import lookup_logic
 from trivalent.prover import _complete_tree, complete_search
 from trivalent.semantics import bisequent_valid
@@ -162,6 +169,23 @@ class TestTextFormat:
         with pytest.raises(ParseError) as exc:
             bp("p => q | r => s &")
         assert exc.value.position == 17
+
+    @pytest.mark.parametrize(
+        "parse, offset",
+        (
+            (lambda: bp("p => | q, box r =>"), 10),
+            (lambda: parse_formula_list("q, box p", SIG), 3),
+        ),
+        ids=("slot", "list"),
+    )
+    def test_an_item_error_keeps_its_class(self, parse, offset):
+        with pytest.raises(UnknownConnectiveError) as exc:
+            parse()
+        assert exc.value.token == "box"
+        assert exc.value.position == offset
+        assert str(exc.value) == (
+            f"connective 'box' is not in the signature (at offset {offset})"
+        )
 
 
 def _with_constants(rng, f):

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 
-
+from trivalent import prover
+from trivalent.bisequent import parse_formula_list
 from trivalent.cli import run
+from trivalent.formula import atoms
+from trivalent.logics import lookup_logic
+from trivalent.semantics import assignments_over, falsifies
 
 
 def call(capsys, *argv):
@@ -237,6 +241,32 @@ class TestCountermodel:
         golden = ["010", "01u", "u10", "u1u", "100", "10u", "1u0", "1uu", "110", "11u"]
         assert json.loads(out)["countermodels"] == [
             dict(zip("pqr", values)) for values in golden
+        ]
+
+    def test_eight_atoms_list_the_reference_enumeration(self, capsys):
+        logic = lookup_logic("L3")
+        premisses, conclusion = "p & (q | ~r), s -> t", "(u | p) & (v -> w)"
+        b = prover.goal_bisequent(
+            logic,
+            prover.designated_mode(logic),
+            parse_formula_list(premisses, logic.signature),
+            logic.parse(conclusion),
+        )
+        names = {a for _, _, f in b.formulas() for a in atoms(f)}
+        assert len(names) == 8
+        expected = [
+            {a: v.value for a, v in h.items()}
+            for h in assignments_over(names)
+            if falsifies(logic, h, b)
+        ]
+        assert 1 < len(expected) < 3**8
+        code, out, _ = call(capsys, "countermodel", "--logic", "L3", "--json", premisses, conclusion)
+        assert code == 1
+        assert json.loads(out)["countermodels"] == expected
+        code, out, _ = call(capsys, "countermodel", "--logic", "L3", premisses, conclusion)
+        assert code == 1
+        assert out.splitlines() == ["invalid"] + [
+            ", ".join(f"{a}={v}" for a, v in h.items()) for h in expected
         ]
 
 

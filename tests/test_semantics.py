@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trivalent.bisequent import bisequent, parse_bisequent
-from trivalent.formula import Atom, Constant, atoms, iter_formulas
+from trivalent.formula import Atom, Compound, Constant, atoms, iter_formulas
 from trivalent.logics import (
     SLOTS,
     EvaluationError,
@@ -25,7 +26,7 @@ from trivalent.semantics import (
     matrix_consequence,
 )
 
-from conftest import ALL_LOGICS, DATA_DIR, formulas
+from conftest import ALL_LOGICS, DATA_DIR, formulas, random_formula
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -304,3 +305,93 @@ class TestEdgeCases:
                 check(K3, b)
         assert falsifying_assignments(K3, b, max_atoms=13) == []
         assert bisequent_valid(K3, b, max_atoms=13)
+
+
+# --- the countermodel enumeration against the per-assignment reference ---
+
+def reference_falsifiers(logic, b):
+    names = {a for _, _, f in b.formulas() for a in atoms(f)}
+    return [h for h in assignments_over(names) if falsifies(logic, h, b)]
+
+
+def assert_same_enumeration(got, expected):
+    assert got == expected
+    assert [list(h) for h in got] == [list(h) for h in expected]  # key order
+
+
+def _enumeration_goals(logic, n):
+    """Bisequents over exactly the atoms ``x0 … x{n-1}``: two random ones,
+    one that nothing falsifies (``x0`` in ant1 and suc1), and, with
+    constants, the first with a constant added to three slots."""
+    names = [f"x{i}" for i in range(n)]
+    rng = random.Random(f"enumeration:{logic.name}:{n}")
+    goals = [] if n else [bisequent()]
+    while len(goals) < 2 and n:
+        fs = [random_formula(rng, logic.signature, names, rng.randint(0, 3)) for _ in range(4)]
+        b = bisequent(ant1=fs[:1], suc1=fs[1:2], ant2=fs[2:3], suc2=fs[3:])
+        if {a for f in fs for a in atoms(f)} == set(names):
+            goals.append(b)
+    if n:
+        goals.append(goals[0].add("ant1", Atom("x0")).add("suc1", Atom("x0")))
+    if logic.constants_enabled:
+        T, F, U = CONSTANTS
+        goals.append(goals[0].add("suc1", U).add("ant2", T).add("suc2", F))
+    return goals
+
+
+_ENUMERATION_LOGICS = ("K3", "L3", "P1", "LP", "RM3", "J3", "I1")
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    # the reference takes 0.1–0.2 s per goal at 9 atoms, so the widest
+    # goals run in three logics only
+    [(name, n) for n in range(10) for name in _ENUMERATION_LOGICS[: 7 if n < 8 else 3]],
+)
+def test_enumeration_equals_the_reference(name, n):
+    logic = lookup_logic(name)
+    if name == "K3":
+        logic = logic.with_constants()
+    for b in _enumeration_goals(logic, n):
+        assert_same_enumeration(falsifying_assignments(logic, b), reference_falsifiers(logic, b))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_enumeration_covers_none_some_and_all(n):
+    # in K3, ``x0 & ~x0`` is never 1, so a conjunction with it in suc1 is
+    # falsified everywhere; ``x0`` in ant1 keeps the assignments with
+    # x0 = 1, and ``x0`` in suc1 as well keeps none
+    names = [Atom(f"x{i}") for i in range(n)]
+    never_one = K3.parse("x0 & ~x0")
+    for x in names[1:]:
+        never_one = Compound("and", (never_one, x))
+    every = bisequent(suc1=(never_one,)) if n else bisequent()
+    some = every.add("ant1", names[0]) if n else bisequent(suc1=(Constant("undef"),))
+    nothing = some.add("suc1", names[0]) if n else bisequent(suc1=(Constant("top"),))
+    k3c = K3.with_constants()
+    expected = {"every": 3**n, "some": 3 ** (n - 1) if n else 1, "nothing": 0}
+    for label, b in (("every", every), ("some", some), ("nothing", nothing)):
+        got = falsifying_assignments(k3c, b)
+        assert len(got) == expected[label], label
+        assert_same_enumeration(got, reference_falsifiers(k3c, b))
+
+
+def test_enumeration_returns_fresh_dicts():
+    b = parse_bisequent("=> p & q | r => s", K3.signature)
+    first = falsifying_assignments(K3, b)
+    assert len({id(h) for h in first}) == len(first) > 1
+    for h in first:
+        h["p"] = None
+        h["z"] = ONE
+    assert_same_enumeration(falsifying_assignments(K3, b), reference_falsifiers(K3, b))
+
+
+def test_empty_mask_builds_no_assignment(monkeypatch):
+    names = [f"x{i}" for i in range(13)]
+    b = bisequent(ant1=(K3.parse(" & ".join(names)),), suc1=(K3.parse(" | ".join(names)),))
+
+    def product(*args, **kwargs):
+        raise AssertionError("an assignment was built")
+
+    monkeypatch.setattr(itertools, "product", product)
+    assert falsifying_assignments(K3, b, max_atoms=13) == []
