@@ -21,10 +21,14 @@ A bisequent built from formulas (``bisequent()``, ``Bisequent(...)``,
 the parser) checks that every slot holds formulas; a premiss
 (``Bisequent.derive``) skips the check and shares its parent's slot and
 sorted-slot tuples for every slot the rule leaves alone.
+
+A proof goal ``premisses |- conclusion`` becomes its root bisequent here
+too (``goal_bisequent``), placed by ``logics.GOAL_SLOTS``, so that the
+command line can build a goal without importing the prover.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .formula import (
@@ -32,19 +36,24 @@ from .formula import (
     Compound,
     Constant,
     Formula,
+    InputError,
     ParseError,
     atoms,
     parse_formula,
     render,
 )
-from .logics import SLOTS, LogicDef
+from .logics import GOAL_SLOTS, SLOTS, LogicDef
+from .record import Record, _set
 
 __all__ = [
     "Bisequent",
+    "ModeMismatchError",
     "SLOTS",
     "bisequent",
     "bisequent_atoms",
     "clashes",
+    "designated_mode",
+    "goal_bisequent",
     "is_atomic",
     "is_axiomatic",
     "parse_bisequent",
@@ -52,35 +61,35 @@ __all__ = [
     "render_bisequent",
 ]
 
+_SORTED_SLOTS = tuple(f"_sorted_{slot}" for slot in SLOTS)
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Bisequent:
+
+class Bisequent(Record):
     """``ant1 => suc1 | ant2 => suc2``: one formula tuple per slot, in
     insertion order, and beside each its formulas sorted.  A slot already
     in sorted order, as every slot of none or one formula is, is its own
     sorted form.  Equality and hashing go through the sorted forms."""
 
-    ant1: tuple[Formula, ...] = ()
-    suc1: tuple[Formula, ...] = ()
-    ant2: tuple[Formula, ...] = ()
-    suc2: tuple[Formula, ...] = ()
-    _sorted_ant1: tuple[Formula, ...] = field(init=False, repr=False)
-    _sorted_suc1: tuple[Formula, ...] = field(init=False, repr=False)
-    _sorted_ant2: tuple[Formula, ...] = field(init=False, repr=False)
-    _sorted_suc2: tuple[Formula, ...] = field(init=False, repr=False)
+    _fields = SLOTS
+    __slots__ = (*SLOTS, *_SORTED_SLOTS)
 
-    def __post_init__(self) -> None:
-        for name, fs in zip(_SORTED_SLOTS, (self.ant1, self.suc1, self.ant2, self.suc2)):
+    def __init__(
+        self,
+        ant1: tuple[Formula, ...] = (),
+        suc1: tuple[Formula, ...] = (),
+        ant2: tuple[Formula, ...] = (),
+        suc2: tuple[Formula, ...] = (),
+    ) -> None:
+        for name, sorted_name, fs in zip(SLOTS, _SORTED_SLOTS, (ant1, suc1, ant2, suc2)):
             # a formula is a tuple too, so a bare formula given as a slot
             # would otherwise pass for a slot holding its tag and fields
             if not all(isinstance(f, (Atom, Constant, Compound)) for f in fs):
                 raise TypeError("a bisequent slot must be a sequence of formulas")
-            _set(self, name, _sorted(fs))
+            _set(self, name, fs)
+            _set(self, sorted_name, _sorted(fs))
 
-    @property
-    def _key(self) -> tuple[tuple[Formula, ...], ...]:
-        """The canonical key: each slot's formulas sorted."""
-        return self._sorted_ant1, self._sorted_suc1, self._sorted_ant2, self._sorted_suc2
+    #: the canonical key: each slot's formulas sorted
+    _key = property(attrgetter(*_SORTED_SLOTS))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bisequent):
@@ -97,17 +106,6 @@ class Bisequent:
 
     def slots(self) -> dict[str, tuple[Formula, ...]]:
         return {s: getattr(self, s) for s in SLOTS}
-
-    def replace(self, slot: str, formulas: Iterable[Formula]) -> "Bisequent":
-        self.slot(slot)  # rejects an unknown slot name
-        return bisequent(**{**self.slots(), slot: formulas})
-
-    def add(self, slot: str, *formulas: Formula) -> "Bisequent":
-        return self.replace(slot, self.slot(slot) + formulas)
-
-    def remove_at(self, slot: str, index: int) -> "Bisequent":
-        fs = self.slot(slot)
-        return self.replace(slot, fs[:index] + fs[index + 1 :])
 
     def derive(self, formulas: Sequence[tuple]) -> "Bisequent":
         """A premiss from four formula tuples in slot order, unchecked.  A
@@ -127,10 +125,6 @@ class Bisequent:
                 yield s, i, f
 
 
-_set = object.__setattr__
-_SORTED_SLOTS = tuple(f"_sorted_{slot}" for slot in SLOTS)
-
-
 def _sorted(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
     """``fs`` in sorted order; ``fs`` itself when it already is."""
     if len(fs) < 2:
@@ -146,6 +140,39 @@ def bisequent(
     suc2: Iterable[Formula] = (),
 ) -> Bisequent:
     return Bisequent(tuple(ant1), tuple(suc1), tuple(ant2), tuple(suc2))
+
+
+# ---------------------------------------------------------------------------
+# Proof goals
+
+class ModeMismatchError(InputError, ValueError):
+    pass
+
+
+def designated_mode(logic: LogicDef) -> str:
+    return "designated_1" if logic.goal_mode == 1 else "designated_2"
+
+
+def goal_bisequent(
+    logic: LogicDef,
+    mode: str,
+    premisses: Iterable[Formula],
+    conclusion: Formula,
+) -> Bisequent:
+    """The root bisequent of the goal ``premisses |- conclusion`` in goal
+    mode ``mode`` (a key of ``GOAL_SLOTS``)."""
+    if mode not in GOAL_SLOTS:
+        raise ModeMismatchError(f"unknown goal mode {mode!r}")
+    expected = designated_mode(logic)
+    if mode != expected and mode.startswith("designated_"):
+        values = "one designated value" if logic.goal_mode == 1 else "two designated values"
+        sequent = "first" if logic.goal_mode == 1 else "second"
+        raise ModeMismatchError(
+            f"{logic.name} has {values}; its consequence goals live in the "
+            f"{sequent} sequent ({expected})"
+        )
+    ant, suc = GOAL_SLOTS[mode]
+    return bisequent(**{ant: premisses, suc: (conclusion,)})
 
 
 def bisequent_atoms(b: Bisequent) -> frozenset[str]:
@@ -243,7 +270,7 @@ def parse_formula_list(text: str, signature, offset: int = 0) -> tuple[Formula, 
     for start, end in zip(cuts, cuts[1:]):
         item, at = text[start + 1 : end], offset + start + 1
         if not item.strip():
-            raise ParseError("empty formula in sequent", at)
+            raise ParseError("empty formula in list", at)
         try:
             out.append(parse_formula(item, signature))
         except ParseError as exc:

@@ -17,11 +17,10 @@ table with premisses, and ``catalog`` builds every logic's rules that way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bisequent import Bisequent
-from .formula import CONNECTIVES, Compound
+from .formula import CONNECTIVES, Compound, InputError
 from .logics import (
     SLOTS,
     LogicDef,
@@ -32,6 +31,7 @@ from .logics import (
     slot_admits,
     tables,
 )
+from .record import Record, _set
 
 __all__ = [
     "AxiomSchema",
@@ -49,66 +49,77 @@ __all__ = [
 ]
 
 
-class CatalogError(ValueError):
+class CatalogError(InputError, ValueError):
     pass
 
 
-class OccurrenceError(ValueError):
+class OccurrenceError(InputError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Placement:
-    slot: str
-    arg_index: int
+class Placement(Record):
+    __slots__ = _fields = ("slot", "arg_index")
+
+    def __init__(self, slot: str, arg_index: int) -> None:
+        _set(self, "slot", slot)
+        _set(self, "arg_index", arg_index)
 
 
-@dataclass(frozen=True)
-class PremissSchema:
-    placements: tuple[Placement, ...]
-    #: the placements resolved for ``apply_rule``: (slot index, argument
-    #: index) pairs, in placement order
-    moves: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+class PremissSchema(Record):
+    _fields = ("placements",)
+    #: beside the field, ``moves``: the placements resolved for
+    #: ``apply_rule``, (slot index, argument index) pairs in placement order
+    __slots__ = (*_fields, "moves")
 
-    def __post_init__(self) -> None:
-        if not self.placements:
+    def __init__(self, placements: tuple[Placement, ...]) -> None:
+        if not placements:
             raise CatalogError("a premiss must place at least one side formula")
-        if any(pl.slot not in SLOTS for pl in self.placements):
+        if any(pl.slot not in SLOTS for pl in placements):
             raise CatalogError("a placement names an unknown slot")
-        moves = tuple((SLOTS.index(pl.slot), pl.arg_index) for pl in self.placements)
-        object.__setattr__(self, "moves", moves)
+        _set(self, "placements", placements)
+        _set(self, "moves", tuple((SLOTS.index(pl.slot), pl.arg_index) for pl in placements))
 
 
-@dataclass(frozen=True)
-class RuleSchema:
-    name: str
-    connective: str
-    principal_slot: str
-    premisses: tuple[PremissSchema, ...]
+class RuleSchema(Record):
+    __slots__ = _fields = ("name", "connective", "principal_slot", "premisses")
 
-    def __post_init__(self) -> None:
-        n = CONNECTIVES[self.connective]
-        for p in self.premisses:
+    def __init__(
+        self,
+        name: str,
+        connective: str,
+        principal_slot: str,
+        premisses: tuple[PremissSchema, ...],
+    ) -> None:
+        n = CONNECTIVES[connective]
+        for p in premisses:
             for pl in p.placements:
                 if pl.arg_index >= n:
                     raise CatalogError(
-                        f"rule {self.name}: placement index {pl.arg_index} "
-                        f"out of range for {self.connective!r}"
+                        f"rule {name}: placement index {pl.arg_index} "
+                        f"out of range for {connective!r}"
                     )
+        _set(self, "name", name)
+        _set(self, "connective", connective)
+        _set(self, "principal_slot", principal_slot)
+        _set(self, "premisses", premisses)
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
     """Any bisequent with a ``connective`` formula in ``slot`` is axiomatic."""
 
-    connective: str
-    slot: str
+    __slots__ = _fields = ("connective", "slot")
+
+    def __init__(self, connective: str, slot: str) -> None:
+        _set(self, "connective", connective)
+        _set(self, "slot", slot)
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
-    ok: bool
-    counterexample: tuple[Value, ...] | None = None
+class RuleVerdict(Record):
+    __slots__ = _fields = ("ok", "counterexample")
+
+    def __init__(self, ok: bool, counterexample: tuple[Value, ...] | None = None) -> None:
+        _set(self, "ok", ok)
+        _set(self, "counterexample", counterexample)
 
     def __str__(self) -> str:
         if self.ok:

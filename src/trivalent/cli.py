@@ -2,10 +2,13 @@
 
 Exit codes: 0 for a positive verdict (proved, valid, interpolant found,
 all rules verified), 1 for a negative verdict (refuted or invalid, with
-a countermodel rendered), 2 for usage or input errors, 3 for an internal
-error: an interpolant that fails its own verification, or any exception
-that is not one of the input errors (a bug, or a recursion limit hit on
-over-deep input).
+a countermodel rendered), 2 for usage errors and for input errors (any
+``InputError``), 3 for an internal error: an interpolant that fails its
+own verification, or any other exception (a bug, or a recursion limit
+hit on over-deep input).
+
+Each command imports ``calculus``, ``prover`` and ``interpolation`` only
+if it uses them, so a process pays for no module its command never runs.
 """
 from __future__ import annotations
 
@@ -14,19 +17,16 @@ import json
 import sys
 from typing import Sequence
 
-from . import calculus, interpolation, prover, semantics
-from .bisequent import parse_bisequent, parse_formula_list, render_bisequent
-from .formula import ParseError, parse_formula
-from .logics import (
-    _VALUE_BY_SYMBOL,
-    GOAL_SLOTS,
-    SLOTS,
-    EvaluationError,
-    LogicDef,
-    UnknownLogicError,
-    available_logics,
-    lookup_logic,
+from . import semantics
+from .bisequent import (
+    designated_mode,
+    goal_bisequent,
+    parse_bisequent,
+    parse_formula_list,
+    render_bisequent,
 )
+from .formula import InputError, parse_formula
+from .logics import _VALUE_BY_SYMBOL, GOAL_SLOTS, SLOTS, LogicDef, available_logics, lookup_logic
 
 __all__ = ["main", "run"]
 
@@ -59,7 +59,7 @@ _MODE_BY_FLAG = {
 
 def _mode_for(logic: LogicDef, mode_flag: str) -> str:
     if mode_flag == "designated":
-        return prover.designated_mode(logic)
+        return designated_mode(logic)
     return _MODE_BY_FLAG[mode_flag]
 
 
@@ -71,6 +71,8 @@ def _render_countermodel(cm) -> str:
 # Subcommands
 
 def _cmd_prove(args) -> int:
+    from . import prover
+
     logic = _logic(args)
     premisses, conclusion = _parse_goal(logic, args.premisses, args.conclusion)
     mode = _mode_for(logic, args.mode)
@@ -124,8 +126,7 @@ def _cmd_countermodel(args) -> int:
         b = parse_bisequent(args.goal, logic.signature)
     else:
         premisses, conclusion = _parse_goal(logic, args.goal, args.conclusion)
-        mode = prover.designated_mode(logic)
-        b = prover.goal_bisequent(logic, mode, premisses, conclusion)
+        b = goal_bisequent(logic, designated_mode(logic), premisses, conclusion)
     found = semantics.falsifying_assignments(logic, b, args.max_atoms)
     payload = {
         "command": "countermodel",
@@ -145,6 +146,8 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
+    from . import interpolation, prover
+
     logic = _logic(args)
     sig = logic.signature
     phi = parse_formula(args.left, sig)
@@ -155,8 +158,7 @@ def _cmd_interpolate(args) -> int:
         )
     except interpolation.NotEntailedError as exc:
         # a failed entailment is a refutation, not an input error
-        mode = prover.designated_mode(logic)
-        result = prover.prove(logic, mode, (phi,), psi)
+        result = prover.prove(logic, designated_mode(logic), (phi,), psi)
         cm = getattr(result, "countermodel", {})
         print(f"not entailed: {exc}", file=sys.stderr)
         if cm:
@@ -181,6 +183,8 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_verify_rules(args) -> int:
+    from . import calculus
+
     logic = _logic(args)
     cat = calculus.catalog(logic)
     lines = []
@@ -205,6 +209,8 @@ def _cmd_verify_rules(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from . import calculus
+
     logic = _logic(args)
     table = logic.table(args.connective)
     schema = calculus.synthesize_rules(table, args.slot)
@@ -373,16 +379,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (
-        ParseError,
-        UnknownLogicError,
-        EvaluationError,
-        interpolation.InterpolationError,
-        calculus.CatalogError,
-        calculus.OccurrenceError,
-        prover.ModeMismatchError,
-        semantics.AtomLimitError,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -36,6 +36,7 @@ __all__ = [
     "Compound",
     "Constant",
     "Formula",
+    "InputError",
     "ParseError",
     "RenderError",
     "UnknownConnectiveError",
@@ -99,7 +100,13 @@ RESERVED_WORDS = frozenset(_KEYWORD_TO_ID) | frozenset(_CONSTANT_TOKENS)
 _ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
 
-class ParseError(ValueError):
+class InputError(Exception):
+    """Input the program cannot take: bad syntax, an unknown name, a goal
+    of the wrong shape or too many atoms.  The command line reports every
+    subclass as ``error: ...`` with exit code 2."""
+
+
+class ParseError(InputError, ValueError):
     """Syntax error, carrying the character offset of the failure."""
 
     def __init__(self, message: str, position: int):
@@ -215,13 +222,13 @@ def connectives_of(f: Formula) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Token resolution relative to a signature
 
-_FAMILIES = {
-    "~": tuple(c for c in CONNECTIVES if c.startswith("neg")),
-    "&": tuple(c for c in CONNECTIVES if c.startswith("and")),
-    "|": tuple(c for c in CONNECTIVES if c.startswith("or")),
-    "->": tuple(c for c in CONNECTIVES if c.startswith("impl")),
-}
+#: each generic operator token and the connective it names first; the
+#: family it may also name is every connective id with that prefix
 _FAMILY_PRIMARY = {"~": "neg", "&": "and", "|": "or", "->": "impl"}
+_FAMILIES = {
+    tok: tuple(c for c in CONNECTIVES if c.startswith(primary))
+    for tok, primary in _FAMILY_PRIMARY.items()
+}
 
 
 def _resolve_generic(token: str, signature: frozenset[str]) -> str | None:
@@ -240,7 +247,7 @@ def _token_map(signature: frozenset[str]) -> dict[str, str]:
     """Surface token for every connective id of the signature.  Cached per
     signature, so every caller shares one dict: read it, never change it."""
     out: dict[str, str] = {}
-    for tok in ("~", "&", "|", "->"):
+    for tok in _FAMILY_PRIMARY:
         target = _resolve_generic(tok, signature)
         if target is not None:
             out[target] = tok

@@ -13,14 +13,14 @@ than trusted.  ``interpolate`` serves the four native logics alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .bisequent import Bisequent, bisequent, clashes
-from .formula import Atom, Compound, Formula, _resolve_generic, atoms
+from .bisequent import Bisequent, bisequent, clashes, designated_mode
+from .formula import Atom, Compound, Formula, InputError, _resolve_generic, atoms
 from .logics import SLOTS, LogicDef
-from .prover import _complete_tree, designated_mode, prove
+from .prover import _complete_tree, prove
+from .record import Record, _set
 from .semantics import DEFAULT_ATOM_CAP, matrix_consequence
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-class InterpolationError(ValueError):
+class InterpolationError(InputError, ValueError):
     pass
 
 
@@ -52,14 +52,22 @@ class NoSharedAtomError(InterpolationError):
     pass
 
 
-@dataclass(frozen=True)
-class LeafAtoms:
+class LeafAtoms(Record):
     """Atom names of one nonaxiomatic atomic leaf, slot by slot."""
 
-    ant1: frozenset[str]
-    suc1: frozenset[str]
-    ant2: frozenset[str]
-    suc2: frozenset[str]
+    __slots__ = _fields = SLOTS
+
+    def __init__(
+        self,
+        ant1: frozenset[str],
+        suc1: frozenset[str],
+        ant2: frozenset[str],
+        suc2: frozenset[str],
+    ) -> None:
+        _set(self, "ant1", ant1)
+        _set(self, "suc1", suc1)
+        _set(self, "ant2", ant2)
+        _set(self, "suc2", suc2)
 
 
 def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:

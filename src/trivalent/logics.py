@@ -7,13 +7,13 @@ connective share the table object.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import formula as fm
-from .formula import Atom, Constant, Formula
+from .formula import Atom, Constant, Formula, InputError
+from .record import Record, _set
 
 __all__ = [
     "Value",
@@ -88,7 +88,7 @@ def slot_admits(slot: str, v: Value) -> bool:
     raise ValueError(f"unknown slot {slot!r}")
 
 
-class UnknownLogicError(KeyError):
+class UnknownLogicError(InputError, KeyError):
     def __init__(self, name: str, known: Iterable[str]):
         super().__init__(
             f"unknown logic {name!r}; available: {', '.join(sorted(known))}"
@@ -99,7 +99,7 @@ class UnknownLogicError(KeyError):
         return self.args[0]
 
 
-class EvaluationError(ValueError):
+class EvaluationError(InputError, ValueError):
     pass
 
 
@@ -107,18 +107,19 @@ class CatalogFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """Total map from argument tuples to values."""
 
-    name: str
-    arity: int
-    entries: Mapping[tuple[Value, ...], Value]
+    __slots__ = _fields = ("name", "arity", "entries")
 
-    def __post_init__(self) -> None:
-        expected = {args for args in _tuples(self.arity)}
-        if set(self.entries) != expected:
-            raise CatalogFileError(f"table {self.name!r} is not total")
+    def __init__(
+        self, name: str, arity: int, entries: Mapping[tuple[Value, ...], Value]
+    ) -> None:
+        if set(entries) != set(_tuples(arity)):
+            raise CatalogFileError(f"table {name!r} is not total")
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "entries", entries)
 
     def __call__(self, *args: Value) -> Value:
         return self.entries[args]
@@ -130,26 +131,33 @@ def _tuples(arity: int) -> Iterable[tuple[Value, ...]]:
     return tuple((a, b) for a in VALUES for b in VALUES)
 
 
-@dataclass(frozen=True)
-class LogicDef:
-    """A named logic: connective ids, designated values, constants flag."""
+class LogicDef(Record):
+    """A named logic: connective ids, designated values, constants flag.
+    The fields are slots; the cached properties keep their values in the
+    instance ``__dict__``."""
 
-    name: str
-    connectives: tuple[str, ...]
-    designated: frozenset[Value]
-    constants_enabled: bool = False
+    _fields = ("name", "connectives", "designated", "constants_enabled")
+    __slots__ = (*_fields, "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.designated not in (
+    def __init__(
+        self,
+        name: str,
+        connectives: tuple[str, ...],
+        designated: frozenset[Value],
+        constants_enabled: bool = False,
+    ) -> None:
+        if designated not in (
             frozenset((Value.ONE,)),
             frozenset((Value.ONE, Value.UNDEF)),
         ):
-            raise CatalogFileError(
-                f"logic {self.name!r}: designated set must be 1 or 1,u"
-            )
-        for cid in self.connectives:
+            raise CatalogFileError(f"logic {name!r}: designated set must be 1 or 1,u")
+        for cid in connectives:
             if cid not in tables():
-                raise CatalogFileError(f"logic {self.name!r}: no table for {cid!r}")
+                raise CatalogFileError(f"logic {name!r}: no table for {cid!r}")
+        _set(self, "name", name)
+        _set(self, "connectives", connectives)
+        _set(self, "designated", designated)
+        _set(self, "constants_enabled", constants_enabled)
 
     @property
     def goal_mode(self) -> int:

@@ -28,16 +28,19 @@ record beyond its own tuple and its bisequent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
+# ``ModeMismatchError``, ``designated_mode`` and ``goal_bisequent`` live
+# beside ``Bisequent`` and are re-exported here
 from .bisequent import (
-    Bisequent,
     SLOTS,
-    bisequent,
+    Bisequent,
+    ModeMismatchError,
     bisequent_atoms,
     clashes,
+    designated_mode,
+    goal_bisequent,
     is_atomic,
     is_axiomatic,
     render_bisequent,
@@ -45,6 +48,7 @@ from .bisequent import (
 from .calculus import Catalog, apply_rule, catalog
 from .formula import Atom, Compound, Constant, Formula
 from .logics import GOAL_SLOTS, EvaluationError, LogicDef, Value
+from .record import Record, _set
 
 __all__ = [
     "GOAL_MODES",
@@ -64,10 +68,6 @@ __all__ = [
 
 #: the proof goal shapes, named as in ``logics.GOAL_SLOTS``
 GOAL_MODES = tuple(GOAL_SLOTS)
-
-
-class ModeMismatchError(ValueError):
-    pass
 
 
 class LeafError(ValueError):
@@ -133,19 +133,23 @@ class ProofTree(tuple):
         return out
 
 
-@dataclass(frozen=True)
-class Proved:
-    tree: ProofTree
+class Proved(Record):
+    __slots__ = _fields = ("tree",)
+
+    def __init__(self, tree: ProofTree) -> None:
+        _set(self, "tree", tree)
 
     @property
     def proved(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Refuted:
-    tree: ProofTree
-    countermodel: Mapping[str, Value]
+class Refuted(Record):
+    __slots__ = _fields = ("tree", "countermodel")
+
+    def __init__(self, tree: ProofTree, countermodel: Mapping[str, Value]) -> None:
+        _set(self, "tree", tree)
+        _set(self, "countermodel", countermodel)
 
     @property
     def proved(self) -> bool:
@@ -326,31 +330,7 @@ def countermodel_from_leaf(leaf: Bisequent) -> dict[str, Value]:
 
 
 # ---------------------------------------------------------------------------
-# Proof goals and the decision procedure
-
-def designated_mode(logic: LogicDef) -> str:
-    return "designated_1" if logic.goal_mode == 1 else "designated_2"
-
-
-def goal_bisequent(
-    logic: LogicDef,
-    mode: str,
-    premisses: Iterable[Formula],
-    conclusion: Formula,
-) -> Bisequent:
-    if mode not in GOAL_SLOTS:
-        raise ModeMismatchError(f"unknown goal mode {mode!r}")
-    expected = designated_mode(logic)
-    if mode != expected and mode.startswith("designated_"):
-        values = "one designated value" if logic.goal_mode == 1 else "two designated values"
-        sequent = "first" if logic.goal_mode == 1 else "second"
-        raise ModeMismatchError(
-            f"{logic.name} has {values}; its consequence goals live in the "
-            f"{sequent} sequent ({expected})"
-        )
-    ant, suc = GOAL_SLOTS[mode]
-    return bisequent(**{ant: premisses, suc: (conclusion,)})
-
+# The decision procedure
 
 def prove_bisequent(
     logic: LogicDef,

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .bisequent import Bisequent
-from .formula import Atom, Constant, Formula, atoms
+from .formula import Atom, Constant, Formula, InputError, atoms
 from .logics import VALUES, LogicDef, Value, evaluate, slot_admits, tables
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 DEFAULT_ATOM_CAP = 12
 
 
-class AtomLimitError(ValueError):
+class AtomLimitError(InputError, ValueError):
     def __init__(self, n_atoms: int, cap: int):
         super().__init__(
             f"{n_atoms} atoms exceed the exhaustive-search cap of {cap}; "

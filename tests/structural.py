@@ -1,6 +1,7 @@
-"""Structural rules realised by re-proof, and the proof check the tests
-use: weakening and cut are admissible in the bisequent calculus, so a
-weakened or cut conclusion of provable bisequents must be provable again.
+"""Structural rules realised by re-proof, the proof check and the
+bisequent edits the tests use: weakening and cut are admissible in the
+bisequent calculus, so a weakened or cut conclusion of provable
+bisequents must be provable again.
 """
 from __future__ import annotations
 
@@ -16,6 +17,23 @@ class CutShapeError(ValueError):
     pass
 
 
+def replace(b: Bisequent, slot: str, formulas: Iterable[Formula]) -> Bisequent:
+    """``b`` with ``slot`` holding ``formulas``."""
+    b.slot(slot)  # rejects an unknown slot name
+    return bisequent(**{**b.slots(), slot: formulas})
+
+
+def add(b: Bisequent, slot: str, *formulas: Formula) -> Bisequent:
+    """``b`` with ``formulas`` appended to ``slot``."""
+    return replace(b, slot, b.slot(slot) + formulas)
+
+
+def remove_at(b: Bisequent, slot: str, index: int) -> Bisequent:
+    """``b`` without the formula at ``slot[index]``."""
+    fs = b.slot(slot)
+    return replace(b, slot, fs[:index] + fs[index + 1 :])
+
+
 def is_proof(tree: ProofTree) -> bool:
     """True iff every leaf of ``tree`` is axiomatic."""
     return all(leaf.leaf_status == "axiomatic" for leaf in tree.leaves())
@@ -29,7 +47,7 @@ def admissible_weaken(
     """Re-prove a proved bisequent with extra formulas in any slots."""
     weakened = proved
     for slot, formulas in additions.items():
-        weakened = weakened.add(slot, *tuple(formulas))
+        weakened = add(weakened, slot, *formulas)
     return prove_bisequent(logic, weakened)
 
 
@@ -41,7 +59,7 @@ def _remove_one(b: Bisequent, slot: str, f: Formula) -> Bisequent:
         raise CutShapeError(
             f"cut formula not found in {slot}: {render_bisequent(b)}"
         ) from None
-    return b.remove_at(slot, index)
+    return remove_at(b, slot, index)
 
 
 def admissible_cut(

@@ -39,7 +39,7 @@ from trivalent.prover import (
 from trivalent.semantics import falsifies, matrix_consequence
 
 from conftest import DATA_DIR, random_formula, run_sweep
-from structural import admissible_cut, admissible_weaken
+from structural import add, admissible_cut, admissible_weaken
 from transcription import load_rules
 
 ALL_LOGICS = available_logics()
@@ -180,7 +180,7 @@ def test_criterion_5_structural_admissibility(sweep):
 
             occurrences = list(b.formulas())
             oslot, _, f = rng.choice(occurrences)
-            duplicated = b.add(oslot, f)
+            duplicated = add(b, oslot, f)
             assert prove_bisequent(logic, duplicated, memo=data.memo).proved
             assert prove_bisequent(logic, b, memo=data.memo).proved
             contractions += 1
@@ -206,8 +206,8 @@ def test_criterion_5_structural_admissibility(sweep):
             chi = rng.choice(extras)
             result = admissible_cut(
                 logic,
-                left.add(left_slot, chi),
-                right.add(right_slot, chi),
+                add(left, left_slot, chi),
+                add(right, right_slot, chi),
                 chi,
                 variant,
             )

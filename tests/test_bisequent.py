@@ -29,6 +29,7 @@ from trivalent.prover import _complete_tree, complete_search
 from trivalent.semantics import bisequent_valid
 
 from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
+from structural import add
 
 K3 = lookup_logic("K3")
 SIG = K3.signature
@@ -116,7 +117,7 @@ class TestIsAxiomatic:
 
     def test_axioms_survive_weakening_and_reordering(self):
         b = bp("p => p | =>")
-        weakened = b.add("ant2", Atom("r")).add("suc1", Atom("s"))
+        weakened = add(add(b, "ant2", Atom("r")), "suc1", Atom("s"))
         assert is_axiomatic(K3, weakened)
 
 

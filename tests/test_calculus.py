@@ -21,6 +21,7 @@ from trivalent.formula import CONNECTIVES, Compound
 from trivalent.logics import SLOTS, Value, available_logics, lookup_logic, tables
 
 from conftest import formulas
+from structural import add, replace
 from transcription import load_rules
 
 K3 = lookup_logic("K3")
@@ -207,15 +208,15 @@ def test_apply_rule_roundtrip(name):
             rule = catalog(logic).rule_for(f.connective, slot)
             if rule is None:
                 continue
-            b = bisequent().add(slot, f).add("suc1", logic.parse("ctx"))
+            b = add(add(bisequent(), slot, f), "suc1", logic.parse("ctx"))
             premisses = apply_rule(rule, b, (slot, b.slot(slot).index(f)))
             for premiss, schema in zip(premisses, rule.premisses):
                 back = premiss
                 for pl in schema.placements:
                     fs = list(back.slot(pl.slot))
                     fs.remove(f.args[pl.arg_index])
-                    back = back.replace(pl.slot, fs)
-                assert back.add(slot, f) == b
+                    back = replace(back, pl.slot, fs)
+                assert add(back, slot, f) == b
 
     check()
 

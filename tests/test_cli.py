@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import trivalent
 from trivalent import prover
 from trivalent.bisequent import parse_formula_list
 from trivalent.cli import run
@@ -124,7 +129,7 @@ class TestProve:
                 code, out, err = call(capsys, command, "--logic", "K3", premisses, "q")
                 assert code == 2, (command, premisses)
                 assert not out
-                assert err == f"error: empty formula in sequent (at offset {offset})\n"
+                assert err == f"error: empty formula in list (at offset {offset})\n"
         # no premisses at all is still the empty list
         assert call(capsys, "prove", "--logic", "K3", " ", "p | ~p")[0] == 1
 
@@ -338,3 +343,33 @@ class TestOtherCommands:
     def test_usage_error(self, capsys):
         assert call(capsys, "prove", "--logic", "K3")[0] == 2
         assert call(capsys, "no-such-command")[0] == 2
+
+
+class TestStartup:
+    """What a fresh ``trivalent`` process imports for one command."""
+
+    PROBE = (
+        "import sys\n"
+        "from trivalent import cli\n"
+        "cli.run(sys.argv[1:])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+
+    def modules(self, *argv) -> set[str]:
+        env = {**os.environ, "PYTHONPATH": str(Path(trivalent.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        return set(done.stdout.splitlines()[-1].split())
+
+    def test_each_command_loads_only_what_it_runs(self):
+        countermodel = self.modules("countermodel", "--logic", "K3", "--json", "p", "q")
+        prove = self.modules("prove", "--logic", "K3", "--json", "p, p -> q", "q")
+        interpolate = self.modules("interpolate", "--logic", "K3", "--json", "p & q", "p | q")
+        for loaded in (countermodel, prove, interpolate):
+            assert not loaded & {"dataclasses", "inspect"}
+        engine = {"trivalent.calculus", "trivalent.prover", "trivalent.interpolation"}
+        assert not countermodel & engine
+        assert "trivalent.prover" in prove and "trivalent.interpolation" not in prove
+        assert engine <= interpolate

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trivalent.bisequent import bisequent, is_atomic, parse_bisequent
-from trivalent.calculus import apply_rule, catalog
+from trivalent.calculus import RuleVerdict, apply_rule, catalog, verify_rule_schema
 from trivalent.formula import Atom, Compound, complexity, iter_formulas
-from trivalent.logics import Value, lookup_logic
+from trivalent.interpolation import LeafAtoms
+from trivalent.logics import SLOTS, Value, lookup_logic, tables
 from trivalent.prover import (
     LeafError,
     ModeMismatchError,
@@ -32,7 +33,7 @@ from trivalent.prover import (
 from trivalent.semantics import bisequent_valid, falsifies, matrix_consequence
 
 from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
-from structural import CutShapeError, admissible_cut, admissible_weaken, is_proof
+from structural import CutShapeError, add, admissible_cut, admissible_weaken, is_proof
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -186,6 +187,41 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
     for value in (f, Atom("p"), k3c.parse("U"), bp("p & q => q | r => ~p"), proved, refuted):
         for twin in _roundtrips(value):
             assert twin == value and type(twin) is type(value)
+    # the records: their fields, and whether they hash (a dict field does not)
+    assert k3c.signature == frozenset(K3.connectives)  # fills the cache first
+    rule = catalog(K3).rule_for("or", "suc1")
+    pal = lookup_logic("Palasinska1")
+    records = [
+        (K3, ("name", "connectives", "designated", "constants_enabled"), True),
+        (k3c, ("name", "connectives", "designated", "constants_enabled"), True),
+        (tables()["neg"], ("name", "arity", "entries"), False),
+        (rule, ("name", "connective", "principal_slot", "premisses"), True),
+        (rule.premisses[0], ("placements",), True),
+        (rule.premisses[0].placements[0], ("slot", "arg_index"), True),
+        (catalog(pal).axiom_schemata[0], ("connective", "slot"), True),
+        (verify_rule_schema(K3, rule), ("ok", "counterexample"), True),
+        (RuleVerdict(False, (Value.ONE, Value.UNDEF)), ("ok", "counterexample"), True),
+        (LeafAtoms(frozenset("p"), frozenset(), frozenset("pq"), frozenset("r")), SLOTS, True),
+        (bp("p & q => q | r => ~p"), SLOTS, True),
+        (proved, ("tree",), True),
+        (refuted, ("tree", "countermodel"), False),
+    ]
+    for value, fields, hashable in records:
+        for twin in _roundtrips(value):
+            assert twin == value and type(twin) is type(value)
+            assert [getattr(twin, n) for n in fields] == [getattr(value, n) for n in fields]
+            if hashable:
+                assert hash(twin) == hash(value)
+            else:
+                with pytest.raises(TypeError):
+                    hash(twin)
+        for name in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert value != tuple(getattr(value, n) for n in fields)
+    premiss = rule.premisses[0]
+    assert all(twin.moves == premiss.moves for twin in _roundtrips(premiss))
+    assert all(twin.signature == k3c.signature for twin in _roundtrips(k3c))
 
 
 def test_memo_costs_under_340_traced_bytes_per_entry():
@@ -568,7 +604,7 @@ class TestStructuralRules:
                 variant = rng.choice(("cut1", "cut2"))
                 ls, rs = ("suc1", "ant1") if variant == "cut1" else ("suc2", "ant2")
                 assert admissible_cut(
-                    logic, left.add(ls, chi), right.add(rs, chi), chi, variant
+                    logic, add(left, ls, chi), add(right, rs, chi), chi, variant
                 ).proved
 
     def test_invertibility_by_reproof(self):
@@ -592,7 +628,7 @@ class TestStructuralRules:
         for b in self._proved_pool(logic, rng, 20):
             occurrences = list(b.formulas())
             slot, _, f = rng.choice(occurrences)
-            duplicated = b.add(slot, f)
+            duplicated = add(b, slot, f)
             assert prove_bisequent(logic, duplicated).proved
             assert prove_bisequent(logic, b).proved
 
@@ -645,7 +681,7 @@ def test_termination_measure_strictly_decreases():
         rule = cat.rule_for(f.connective, slot)
         if rule is None:
             continue
-        b = bisequent().add(slot, f).add("ant2", Atom("c"))
+        b = add(add(bisequent(), slot, f), "ant2", Atom("c"))
         for premiss in apply_rule(rule, b, (slot, 0)):
             assert measure(premiss) < measure(b)
 

@@ -27,6 +27,7 @@ from trivalent.semantics import (
 )
 
 from conftest import ALL_LOGICS, DATA_DIR, formulas, random_formula
+from structural import add
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -161,7 +162,7 @@ def test_validity_is_monotone_under_weakening(f, extra):
     if not bisequent_valid(K3, b):
         return
     for slot in ("ant1", "suc1", "ant2", "suc2"):
-        assert bisequent_valid(K3, b.add(slot, extra))
+        assert bisequent_valid(K3, add(b, slot, extra))
 
 
 @given(formulas(LP.signature, atom_names=("p", "q"), max_leaves=5))
@@ -332,10 +333,10 @@ def _enumeration_goals(logic, n):
         if {a for f in fs for a in atoms(f)} == set(names):
             goals.append(b)
     if n:
-        goals.append(goals[0].add("ant1", Atom("x0")).add("suc1", Atom("x0")))
+        goals.append(add(add(goals[0], "ant1", Atom("x0")), "suc1", Atom("x0")))
     if logic.constants_enabled:
         T, F, U = CONSTANTS
-        goals.append(goals[0].add("suc1", U).add("ant2", T).add("suc2", F))
+        goals.append(add(add(add(goals[0], "suc1", U), "ant2", T), "suc2", F))
     return goals
 
 
@@ -366,8 +367,8 @@ def test_enumeration_covers_none_some_and_all(n):
     for x in names[1:]:
         never_one = Compound("and", (never_one, x))
     every = bisequent(suc1=(never_one,)) if n else bisequent()
-    some = every.add("ant1", names[0]) if n else bisequent(suc1=(Constant("undef"),))
-    nothing = some.add("suc1", names[0]) if n else bisequent(suc1=(Constant("top"),))
+    some = add(every, "ant1", names[0]) if n else bisequent(suc1=(Constant("undef"),))
+    nothing = add(some, "suc1", names[0]) if n else bisequent(suc1=(Constant("top"),))
     k3c = K3.with_constants()
     expected = {"every": 3**n, "some": 3 ** (n - 1) if n else 1, "nothing": 0}
     for label, b in (("every", every), ("some", some), ("nothing", nothing)):
