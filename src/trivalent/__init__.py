@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "calculus": (
-        "AxiomSchema",
         "Placement",
         "PremissSchema",
         "RuleSchema",

@@ -13,6 +13,7 @@ of argument values, the principal formula meets its slot constraint iff
 some premiss has all placements satisfied.  The tables therefore
 determine the calculus: ``synthesize_rules`` covers that region of a
 table with premisses, and ``catalog`` builds every logic's rules that way.
+Where the region is empty the rule has no premisses: it is an axiom.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .logics import (
 from .record import Record, _set
 
 __all__ = [
-    "AxiomSchema",
     "Catalog",
     "CatalogError",
     "OccurrenceError",
@@ -104,16 +104,6 @@ class RuleSchema(Record):
         _set(self, "premisses", premisses)
 
 
-class AxiomSchema(Record):
-    """Any bisequent with a ``connective`` formula in ``slot`` is axiomatic."""
-
-    __slots__ = _fields = ("connective", "slot")
-
-    def __init__(self, connective: str, slot: str) -> None:
-        _set(self, "connective", connective)
-        _set(self, "slot", slot)
-
-
 class RuleVerdict(Record):
     __slots__ = _fields = ("ok", "counterexample")
 
@@ -132,52 +122,50 @@ class RuleVerdict(Record):
 # Catalog
 
 class Catalog:
-    """A logic's rules and axiom schemata.  Each rule is synthesised from
-    its table on first lookup and shared by every logic using the table."""
+    """A logic's rules.  Each rule is synthesised from its table on first
+    lookup and shared by every logic using the table."""
 
     def __init__(self, logic: LogicDef) -> None:
         self.logic = logic
         self._rules: dict[tuple[str, str], RuleSchema | None] = {}
 
     def rule_for(self, connective: str, slot: str) -> RuleSchema | None:
+        """The rule that decomposes a ``connective`` formula in ``slot``,
+        or None when there is none to apply: the connective is not in the
+        logic, or its rule has no premisses (an axiom, which the axiom
+        test ``is_axiomatic`` applies instead)."""
         try:
             return self._rules[connective, slot]
         except KeyError:
             pass
         rule = None
         if connective in self.logic.signature:
-            derived = _synthesized(connective, slot)
-            if isinstance(derived, RuleSchema):
-                rule = derived
+            rule = _synthesized(connective, slot)
+            if not rule.premisses:
+                rule = None
         self._rules[connective, slot] = rule
         return rule
 
     @property
     def rules(self) -> tuple[RuleSchema, ...]:
-        found = (
-            self.rule_for(cid, slot)
-            for cid in self.logic.connectives
-            for slot in SLOTS
-        )
-        return tuple(rule for rule in found if rule is not None)
-
-    @property
-    def axiom_schemata(self) -> tuple[AxiomSchema, ...]:
-        return tuple(
-            AxiomSchema(cid, slot) for cid, slot in self.logic.extra_axiom_schemata
-        )
+        """Every connective's rule at every slot: the rules with premisses
+        first, then the axioms, each in connective and slot order."""
+        found = [
+            _synthesized(cid, slot) for cid in self.logic.connectives for slot in SLOTS
+        ]
+        return tuple(sorted(found, key=lambda rule: not rule.premisses))
 
 
 @lru_cache(maxsize=None)
-def _synthesized(connective: str, slot: str) -> RuleSchema | AxiomSchema:
+def _synthesized(connective: str, slot: str) -> RuleSchema:
     return synthesize_rules(tables()[connective], slot)
 
 
 @lru_cache(maxsize=None)
 def catalog(logic: LogicDef) -> Catalog:
-    """The logic's calculus: every connective is covered on all four slots
-    by a rule synthesised from its table or, where the table never meets
-    the slot constraint, by an axiom schema."""
+    """The logic's calculus: every connective has a rule synthesised from
+    its table on each of the four slots.  Where the table never meets the
+    slot constraint, the rule has no premisses and is an axiom."""
     return Catalog(logic)
 
 
@@ -229,22 +217,13 @@ def verify_rule_schema(logic: LogicDef, rule: RuleSchema) -> RuleVerdict:
     """Check, over all argument tuples, that the principal formula meets
     its slot constraint iff some premiss is fully satisfied.  This makes
     the rule validity-preserving and invertible at once: a falsifying
-    homomorphism of the conclusion falsifies some premiss and conversely."""
+    homomorphism of the conclusion falsifies some premiss and conversely.
+    A rule with no premisses (an axiom) passes iff no tuple meets it."""
     table = logic.table(rule.connective)
     for args in _tuples(table.arity):
         lhs = slot_admits(rule.principal_slot, table(*args))
         rhs = any(_premiss_admits(p, args) for p in rule.premisses)
         if lhs != rhs:
-            return RuleVerdict(False, args)
-    return RuleVerdict(True)
-
-
-def verify_axiom_schema(logic: LogicDef, schema: AxiomSchema) -> RuleVerdict:
-    """An axiom schema is correct iff no argument tuple lets the operation
-    meet the slot constraint (the slot's falsification value is never taken)."""
-    table = logic.table(schema.connective)
-    for args in _tuples(table.arity):
-        if slot_admits(schema.slot, table(*args)):
             return RuleVerdict(False, args)
     return RuleVerdict(True)
 
@@ -290,16 +269,15 @@ def _rectangles(arity: int) -> tuple[tuple[tuple[Placement, ...], int], ...]:
     return tuple(out)
 
 
-def synthesize_rules(table: TruthTable, slot: str) -> RuleSchema | AxiomSchema:
+def synthesize_rules(table: TruthTable, slot: str) -> RuleSchema:
     """Build a rule for the given table and principal slot by covering the
     satisfying region of the slot constraint with premiss-expressible
-    rectangles (an axiom schema when the region is empty).  The cover is
-    exact, so the result passes verification by construction; among covers
-    it minimises the premiss count, then the total placement count, and
-    keeps the first such cover in candidate order."""
+    rectangles.  An empty region gets the empty cover: a rule with no
+    premisses, which is an axiom.  The cover is exact, so the result
+    passes verification by construction; among covers it minimises the
+    premiss count, then the total placement count, and keeps the first
+    such cover in candidate order."""
     region = _cell_mask(table.arity, lambda args: slot_admits(slot, table(*args)))
-    if not region:
-        return AxiomSchema(table.name, slot)
     candidates = [
         (placements, cells)
         for placements, cells in _rectangles(table.arity)
@@ -307,7 +285,7 @@ def synthesize_rules(table: TruthTable, slot: str) -> RuleSchema | AxiomSchema:
     ]
     best_weight: int | None = None
     best_combo = None
-    for k in range(1, region.bit_count() + 1):
+    for k in range(region.bit_count() + 1):
         for combo in itertools.combinations(candidates, k):
             union = 0
             for _, cells in combo:

@@ -5,7 +5,8 @@ all rules verified), 1 for a negative verdict (refuted or invalid, with
 a countermodel rendered), 2 for usage errors and for input errors (any
 ``InputError``), 3 for an internal error: an interpolant that fails its
 own verification, or any other exception (a bug, or a recursion limit
-hit on over-deep input).
+hit on over-deep input), and 141 when the reader closes stdout before
+the output is written, the status of a filter killed by SIGPIPE.
 
 Each command imports ``calculus``, ``prover`` and ``interpolation`` only
 if it uses them, so a process pays for no module its command never runs.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -193,15 +195,13 @@ def _cmd_verify_rules(args) -> int:
     for rule in cat.rules:
         verdict = calculus.verify_rule_schema(logic, rule)
         all_ok &= verdict.ok
-        lines.append(f"{rule.name}: {verdict}")
-        entries.append({"rule": rule.name, "verdict": str(verdict)})
-    for schema in cat.axiom_schemata:
-        verdict = calculus.verify_axiom_schema(logic, schema)
-        all_ok &= verdict.ok
-        lines.append(f"axiom {schema.connective}@{schema.slot}: {verdict}")
-        entries.append(
-            {"axiom": f"{schema.connective}@{schema.slot}", "verdict": str(verdict)}
-        )
+        if rule.premisses:
+            lines.append(f"{rule.name}: {verdict}")
+            entries.append({"rule": rule.name, "verdict": str(verdict)})
+        else:
+            axiom = f"{rule.connective}@{rule.principal_slot}"
+            lines.append(f"axiom {axiom}: {verdict}")
+            entries.append({"axiom": axiom, "verdict": str(verdict)})
     payload = {"command": "verify-rules", "logic": logic.name, "rules": entries,
                "all_verified": all_ok}
     _emit(args, payload, "\n".join(lines))
@@ -214,7 +214,7 @@ def _cmd_synthesize(args) -> int:
     logic = _logic(args)
     table = logic.table(args.connective)
     schema = calculus.synthesize_rules(table, args.slot)
-    if isinstance(schema, calculus.AxiomSchema):
+    if not schema.premisses:
         payload = {
             "command": "synthesize",
             "connective": args.connective,
@@ -378,7 +378,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: end as a filter killed by SIGPIPE, with
+        # stdout on the null device so that the final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -205,18 +205,26 @@ def atoms(f: Formula) -> frozenset[str]:
 
 def complexity(f: Formula) -> int:
     """Number of connective occurrences in ``f``."""
-    if isinstance(f, Compound):
-        return 1 + sum(complexity(a) for a in f.args)
-    return 0
+    n = 0
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Compound):
+            n += 1
+            todo.extend(g.args)
+    return n
 
 
 def connectives_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Compound):
-        out = frozenset((f.connective,))
-        for a in f.args:
-            out |= connectives_of(a)
-        return out
-    return frozenset()
+    """Connective ids occurring in ``f``."""
+    out: set[str] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Compound):
+            out.add(g.connective)
+            todo.extend(g.args)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

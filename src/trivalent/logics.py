@@ -177,7 +177,8 @@ class LogicDef(Record):
     def extra_axiom_schemata(self) -> tuple[tuple[str, str], ...]:
         """(connective, slot) pairs for operations that never take the
         slot's falsification value; bisequents carrying such a formula in
-        that slot are axiomatic."""
+        that slot are axiomatic.  These are the pairs at which ``calculus``
+        synthesises a rule with no premisses."""
         return tuple(
             (cid, slot)
             for cid in self.connectives

@@ -47,11 +47,10 @@ from .bisequent import (
 )
 from .calculus import Catalog, apply_rule, catalog
 from .formula import Atom, Compound, Constant, Formula
-from .logics import GOAL_SLOTS, EvaluationError, LogicDef, Value
+from .logics import EvaluationError, LogicDef, Value
 from .record import Record, _set
 
 __all__ = [
-    "GOAL_MODES",
     "LeafError",
     "ModeMismatchError",
     "ProofTree",
@@ -65,10 +64,6 @@ __all__ = [
     "prove",
     "prove_bisequent",
 ]
-
-#: the proof goal shapes, named as in ``logics.GOAL_SLOTS``
-GOAL_MODES = tuple(GOAL_SLOTS)
-
 
 class LeafError(ValueError):
     pass
@@ -168,11 +163,11 @@ def _select_occurrence(
     """The decomposable occurrence with the fewest premisses, ties broken
     in scan order: the first one whose rule has a single premiss (an
     α-rule), else the first among those whose rule has the fewest.  A
-    decomposable occurrence is a compound whose connective has a rule at
-    its slot; compounds covered only by an axiom schema (never a rule)
-    stay put, they make the bisequent axiomatic.  ``strategy`` sets the
-    scan: "leftmost" reads the slots ant1, suc1, ant2, suc2 and each slot
-    front to back, "rightmost" the reverse.
+    decomposable occurrence is a compound whose connective has a rule
+    with premisses at its slot; a compound whose rule there has none (an
+    axiom) stays put, it makes the bisequent axiomatic.  ``strategy``
+    sets the scan: "leftmost" reads the slots ant1, suc1, ant2, suc2 and
+    each slot front to back, "rightmost" the reverse.
 
     Applying α-rules before branching (β-) rules keeps a branching step
     from copying the pending one-premiss steps into each of its branches.

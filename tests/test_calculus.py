@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from trivalent.bisequent import bisequent, parse_bisequent
 from trivalent.calculus import (
-    AxiomSchema,
     CatalogError,
     OccurrenceError,
     Placement,
@@ -14,7 +13,6 @@ from trivalent.calculus import (
     apply_rule,
     catalog,
     synthesize_rules,
-    verify_axiom_schema,
     verify_rule_schema,
 )
 from trivalent.formula import CONNECTIVES, Compound
@@ -40,7 +38,7 @@ class TestCatalog:
 
     def test_palasinska_axiom_schema(self):
         cat = catalog(PAL)
-        assert AxiomSchema("circ1", "suc2") in cat.axiom_schemata
+        assert RuleSchema("circ1.suc2", "circ1", "suc2", ()) in cat.rules
         assert cat.rule_for("circ1", "suc2") is None
         assert cat.rule_for("circ1", "ant1") is not None
 
@@ -49,10 +47,30 @@ class TestCatalog:
             logic = lookup_logic(name)
             cat = catalog(logic)
             covered = {(r.connective, r.principal_slot) for r in cat.rules}
-            covered |= {(a.connective, a.slot) for a in cat.axiom_schemata}
             for cid in logic.connectives:
                 for slot in SLOTS:
                     assert (cid, slot) in covered, (name, cid, slot)
+
+    def test_rules_without_premisses_are_the_axiom_test_schemata(self):
+        # the axiom test reads ``LogicDef.extra_axiom_schemata``, since
+        # ``bisequent`` cannot import ``calculus``: both must name the
+        # same (connective, slot) pairs, and the search must find no rule
+        # to apply at exactly those pairs
+        for name in available_logics():
+            base = lookup_logic(name)
+            for logic in (base, base.with_constants(), base.extended(("neg_b", "neg_h"))):
+                cat = catalog(logic)
+                assert len(cat.rules) == 4 * len(logic.connectives), logic.name
+                axioms = {
+                    (r.connective, r.principal_slot) for r in cat.rules if not r.premisses
+                }
+                assert axioms == set(logic.extra_axiom_schemata), logic.name
+                found = {
+                    (cid, slot): cat.rule_for(cid, slot)
+                    for cid in logic.connectives
+                    for slot in SLOTS
+                }
+                assert {key for key, rule in found.items() if rule is None} == axioms
 
     def test_shared_rules_are_links_not_copies(self):
         # logics sharing a table see the identical synthesised rule object
@@ -161,8 +179,6 @@ class TestVerifyRuleSchema:
             for rule in cat.rules:
                 verdict = verify_rule_schema(logic, rule)
                 assert verdict.ok, (name, rule.name, verdict)
-            for schema in cat.axiom_schemata:
-                assert verify_axiom_schema(logic, schema).ok
 
     def test_broken_rule_yields_counterexample(self):
         # dropping the second side formula from the strong-conjunction
@@ -178,6 +194,14 @@ class TestVerifyRuleSchema:
         assert args[0] is Value.ONE
         assert tables()["and"](*args) is not Value.ONE
         assert args in ((Value.ONE, Value.ZERO), (Value.ONE, Value.UNDEF))
+
+    def test_axiom_on_a_reachable_slot_value_yields_counterexample(self):
+        # strong conjunction takes 1 at (1, 1), so no premiss-free rule
+        # can close a conjunction in ant1
+        verdict = verify_rule_schema(K3, RuleSchema("and.ant1", "and", "ant1", ()))
+        assert not verdict.ok
+        assert verdict.counterexample == (Value.ONE, Value.ONE)
+        assert verify_rule_schema(PAL, RuleSchema("circ1.suc2", "circ1", "suc2", ())).ok
 
     def test_second_sobocinski_implication(self):
         s3p = lookup_logic("S3prime")
@@ -228,8 +252,8 @@ class TestSynthesis:
         assert schema.premisses == (PremissSchema((Placement("suc2", 0),)),)
 
     def test_never_false_operation_gives_axiom(self):
-        assert synthesize_rules(tables()["circ1"], "suc2") == AxiomSchema(
-            "circ1", "suc2"
+        assert synthesize_rules(tables()["circ1"], "suc2") == RuleSchema(
+            "circ1.suc2", "circ1", "suc2", ()
         )
 
     def test_branching_conjunction_shape(self):
@@ -251,10 +275,7 @@ class TestSynthesis:
             logic = host[cid]
             for slot in SLOTS:
                 schema = synthesize_rules(table, slot)
-                if isinstance(schema, AxiomSchema):
-                    assert verify_axiom_schema(logic, schema).ok
-                else:
-                    assert verify_rule_schema(logic, schema).ok, (cid, slot)
+                assert verify_rule_schema(logic, schema).ok, (cid, slot)
 
     def test_full_region_splits_into_two_premisses(self):
         # an operation that never takes the slot's complement value gets a

@@ -320,7 +320,10 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["all_verified"]
-        assert any("axiom" in entry for entry in payload["rules"])
+        assert payload["rules"][-1] == {"axiom": "circ1@suc2", "verdict": "sound_and_invertible"}
+        assert all("rule" in entry for entry in payload["rules"][:-1])
+        code, out, _ = call(capsys, "verify-rules", "--logic", "Palasinska1")
+        assert out.splitlines()[-1] == "axiom circ1@suc2: sound_and_invertible"
 
     def test_synthesize(self, capsys):
         code, out, _ = call(
@@ -329,6 +332,17 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.strip() == "0@suc2"
+
+    def test_synthesize_axiom(self, capsys):
+        argv = ("synthesize", "--logic", "Palasinska1", "--connective", "circ1", "--slot", "suc2")
+        code, out, _ = call(capsys, *argv)
+        assert code == 0
+        assert out == "axiom schema: any circ1 formula in suc2 is axiomatic\n"
+        code, out, _ = call(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "synthesize", "connective": "circ1", "slot": "suc2", "axiom_schema": True,
+        }
 
     def test_table(self, capsys):
         code, out, _ = call(capsys, "table", "--logic", "K3", "--connective", "neg")
@@ -343,6 +357,20 @@ class TestOtherCommands:
     def test_usage_error(self, capsys):
         assert call(capsys, "prove", "--logic", "K3")[0] == 2
         assert call(capsys, "no-such-command")[0] == 2
+
+    def test_reader_closing_stdout_early_gives_141(self):
+        # about 280 KB of countermodels, far more than a pipe buffers
+        goal = "=> " + ", ".join(f"p{i}" for i in range(12)) + " | =>"
+        env = {**os.environ, "PYTHONPATH": str(Path(trivalent.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "trivalent.cli", "countermodel", "--logic", "K3", goal],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        ) as proc:
+            assert proc.stdout.readline() == "invalid\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert stderr == ""
 
 
 class TestStartup:

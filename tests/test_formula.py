@@ -12,6 +12,7 @@ from trivalent.formula import (
     UnknownConnectiveError,
     atoms,
     complexity,
+    connectives_of,
     iter_formulas,
     parse_formula,
     render,
@@ -136,6 +137,22 @@ class TestMeasures:
     )
     def test_complexity(self, text, expected):
         assert complexity(p(text)) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("p", set()), ("~(p & q)", {"neg", "and"}), ("p -> (q | ~~r)", {"impl", "or", "neg"})],
+    )
+    def test_connectives_of(self, text, expected):
+        assert connectives_of(p(text)) == frozenset(expected)
+
+    def test_measures_walk_a_5000_deep_chain(self):
+        # far deeper than the interpreter's recursion limit
+        f = Compound("neg", (Atom("q"),))
+        for _ in range(5000):
+            f = Compound("and", (f, Atom("p")))
+        assert complexity(f) == 5001
+        assert connectives_of(f) == frozenset(("and", "neg"))
+        assert atoms(f) == frozenset("pq")
 
 
 def test_formulas_sort_in_the_documented_order():

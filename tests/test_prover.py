@@ -190,7 +190,8 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
     # the records: their fields, and whether they hash (a dict field does not)
     assert k3c.signature == frozenset(K3.connectives)  # fills the cache first
     rule = catalog(K3).rule_for("or", "suc1")
-    pal = lookup_logic("Palasinska1")
+    axiom = catalog(lookup_logic("Palasinska1")).rules[-1]
+    assert not axiom.premisses
     records = [
         (K3, ("name", "connectives", "designated", "constants_enabled"), True),
         (k3c, ("name", "connectives", "designated", "constants_enabled"), True),
@@ -198,7 +199,7 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
         (rule, ("name", "connective", "principal_slot", "premisses"), True),
         (rule.premisses[0], ("placements",), True),
         (rule.premisses[0].placements[0], ("slot", "arg_index"), True),
-        (catalog(pal).axiom_schemata[0], ("connective", "slot"), True),
+        (axiom, ("name", "connective", "principal_slot", "premisses"), True),
         (verify_rule_schema(K3, rule), ("ok", "counterexample"), True),
         (RuleVerdict(False, (Value.ONE, Value.UNDEF)), ("ok", "counterexample"), True),
         (LeafAtoms(frozenset("p"), frozenset(), frozenset("pq"), frozenset("r")), SLOTS, True),

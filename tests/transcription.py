@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from trivalent.calculus import AxiomSchema, CatalogError, Placement, PremissSchema, RuleSchema
+from trivalent.calculus import CatalogError, Placement, PremissSchema, RuleSchema
 from trivalent.logics import SLOTS
 
 RULES_FILE = Path(__file__).parent / "data" / "rules.txt"
@@ -30,15 +30,17 @@ def _parse_premiss(text: str, rule_name: str) -> PremissSchema:
 
 def load_rules(
     path: Path = RULES_FILE,
-) -> tuple[dict[tuple[str, str], RuleSchema], tuple[AxiomSchema, ...]]:
+) -> tuple[dict[tuple[str, str], RuleSchema], tuple[RuleSchema, ...]]:
     """Parse a rule file, resolving ``=`` links to another rule's premisses.
 
     Lines are ``rule <name> <connective> <slot> : <premiss> | ...``,
     ``rule <name> <connective> <slot> = <other rule name>`` and
     ``axiom <connective> <slot>``; a premiss lists placements ``i@slot``.
+    Returns the rules by (connective, slot), and the axioms as rules with
+    no premisses named ``<connective>.<slot>``, in file order.
     """
     parsed: dict[str, tuple[str, str, str]] = {}  # name -> (conn, slot, rhs)
-    axioms: list[AxiomSchema] = []
+    axioms: list[RuleSchema] = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,7 +50,8 @@ def load_rules(
             fields = parts[1].split()
             if len(fields) != 2 or fields[1] not in SLOTS:
                 raise CatalogError(f"{path.name}:{lineno}: bad axiom line")
-            axioms.append(AxiomSchema(fields[0], fields[1]))
+            cid, slot = fields
+            axioms.append(RuleSchema(f"{cid}.{slot}", cid, slot, ()))
             continue
         if parts[0] != "rule" or len(parts) < 2:
             raise CatalogError(f"{path.name}:{lineno}: unrecognised line")
