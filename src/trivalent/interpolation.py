@@ -1,7 +1,7 @@
-"""Interpolant construction from proof searches run to completion.
+"""Interpolant construction from complete proof-search decompositions.
 
 For an entailment between contingent formulas, the open (nonaxiomatic
-atomic) leaves of separate proof-search trees for the two formulas
+atomic) leaves of the full backward decompositions of the two formulas
 determine an interpolant: each side's leaf atoms are filtered through
 the opposite side's leaves ("primed" sets), and every leaf contributes
 one disjunct whose literals all close that leaf.  ``interpolate_extended``
@@ -16,10 +16,11 @@ from __future__ import annotations
 from functools import reduce
 from typing import Sequence
 
-from .bisequent import Bisequent, bisequent, clashes, designated_mode
+from .bisequent import Bisequent, bisequent, clashes, designated_mode, is_axiomatic
+from .calculus import apply_rule, catalog
 from .formula import Atom, Compound, Formula, InputError, _resolve_generic, atoms
 from .logics import SLOTS, LogicDef
-from .prover import _complete_tree, prove
+from .prover import _select_occurrence, prove
 from .record import Record, _set
 from .semantics import DEFAULT_ATOM_CAP, matrix_consequence
 
@@ -71,20 +72,31 @@ class LeafAtoms(Record):
 
 
 def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:
-    """The distinct open leaves of the search run to completion, in order
-    of first occurrence.  The memo holds each distinct node once, and a
-    leaf enters it when the search first reaches it, so reading the open
-    leaves off the memo visits every shared subtree once; a leaf reached
-    along two paths would otherwise give the interpolant a repeated
-    disjunct.  Leaves that differ only in multiplicities give the same
-    atom sets, and those are merged as well."""
-    memo: dict = {}
-    _complete_tree(logic, root, memo)
+    """The distinct open leaves of ``root``'s full decomposition, in the
+    order a depth-first walk first reaches them.  The walk applies the
+    prover's rules at the prover's occurrences, but explores every premiss
+    where the prover stops at the first open one, and closes axiomatic
+    nodes as the prover does.  A node reached again is skipped, so every
+    shared subtree is walked once; a leaf reached along two paths would
+    otherwise give the interpolant a repeated disjunct.  Leaves that
+    differ only in multiplicities give the same atom sets, and those are
+    merged as well."""
+    cat = catalog(logic)
+    seen = set()
+    todo = [root]
     out = []
-    for tree in memo.values():
-        if tree.leaf_status != "open":
+    while todo:
+        node = todo.pop()
+        if node in seen:
             continue
-        node = tree.node
+        seen.add(node)
+        if is_axiomatic(logic, node):
+            continue
+        if (picked := _select_occurrence(cat, node, "leftmost")) is not None:
+            slot, index, rule = picked
+            # reversed, so that the first premiss is walked first
+            todo.extend(reversed(apply_rule(rule, node, (slot, index))))
+            continue
         if not all(isinstance(f, Atom) for _, _, f in node.formulas()):
             raise InterpolationError("open leaf contains a non-atom")
         names = (frozenset(f.name for f in fs) for fs in node.slots().values())
@@ -201,23 +213,6 @@ def _disjunct(logic: LogicDef, primed: LeafAtoms) -> Formula:
     return _fold(conj, conjuncts)
 
 
-def _build_trees(
-    logic: LogicDef, phi: Formula, psi: Formula
-) -> tuple[list[LeafAtoms], list[LeafAtoms]]:
-    ant, suc = logic.goal_slots
-    leaves_phi = _open_leaf_atoms(logic, bisequent(**{ant: (phi,)}))
-    leaves_psi = _open_leaf_atoms(logic, bisequent(**{suc: (psi,)}))
-    if not leaves_phi:
-        raise NotContingentError(
-            "left formula is not contingent (its proof-search tree has no open leaf)"
-        )
-    if not leaves_psi:
-        raise NotContingentError(
-            "right formula is not contingent (its proof-search tree has no open leaf)"
-        )
-    return leaves_phi, leaves_psi
-
-
 def interpolate_extended(
     logic: LogicDef,
     phi: Formula,
@@ -239,7 +234,14 @@ def interpolate_extended(
         raise NotEntailedError(f"the entailment does not hold in {logic.name}")
     if not (atoms(phi) & atoms(psi)):
         raise NoSharedAtomError("the formulas share no atom")
-    leaves_phi, leaves_psi = _build_trees(logic, phi, psi)
+    ant, suc = logic.goal_slots
+    leaves_phi = _open_leaf_atoms(logic, bisequent(**{ant: (phi,)}))
+    leaves_psi = _open_leaf_atoms(logic, bisequent(**{suc: (psi,)}))
+    for side, leaves in (("left", leaves_phi), ("right", leaves_psi)):
+        if not leaves:
+            raise NotContingentError(
+                f"{side} formula is not contingent (its proof-search tree has no open leaf)"
+            )
     if not combined_leaf_check(leaves_phi, leaves_psi):
         raise InterpolationError("combined leaves are not all axiomatic")
     disjuncts = []

@@ -7,18 +7,18 @@ searched in order until the first one whose subtree is open.  Both
 shortcuts keep the verdict because every rule is invertible: no
 assignment falsifies an axiomatic node, so its full subtree would have
 only axiomatic leaves, and the premisses after the first open one cannot
-close the node again.  The
-first open leaf is therefore the one a complete search would list
-first, and it sits at the end of the explored tree's rightmost path.
-Every rule trades a formula occurrence for proper subformula
-occurrences, so the search terminates.  The verdict does not depend on
-the order of rule applications, but the size of the search does: a node
-is decomposed at the occurrence whose rule has the fewest premisses, so
-one-premiss (α) rules go before branching (β) rules and are not repeated
-in every branch, with ties broken in scan order.  The choice is
-deterministic, which keeps proof objects and countermodels
-reproducible.  An open leaf yields a countermodel that falsifies the
-whole branch down to the root.
+close the node again.  So a subtree's verdict is the status of its last
+leaf, which each node keeps, and that leaf, if open, is the first open
+leaf a complete search would list.  Interpolation, which needs every
+open leaf, walks the full decomposition itself.  Every rule trades a
+formula occurrence for proper subformula occurrences, so the search
+terminates.  The verdict does not depend on the order of rule
+applications, but the size of the search does: a node is decomposed at
+the occurrence whose rule has the fewest premisses, so one-premiss (α)
+rules go before branching (β) rules and are not repeated in every
+branch, with ties broken in scan order.  The choice is deterministic,
+which keeps proof objects and countermodels reproducible.  An open leaf
+yields a countermodel that falsifies the whole branch down to the root.
 
 A ``ProofTree`` node is one flat tuple, ``(node, rule, occurrence,
 leaf_status, *children)``, read through named properties, and nodes
@@ -72,10 +72,11 @@ class LeafError(ValueError):
 class ProofTree(tuple):
     """A search node, the tuple ``(node, rule, occurrence, leaf_status,
     *children)``: the bisequent, the rule name and the ``(slot, index)``
-    occurrence it was decomposed at (both None at a leaf), the leaf status
-    ("axiomatic" or "open" at a leaf, None inside) and the premiss
-    subtrees.  One flat tuple per node, so a memoised node keeps no
-    separate children tuple; equality and hashing are the tuple's."""
+    occurrence it was decomposed at (both None at a leaf), the status
+    ("axiomatic" or "open") of the subtree's last leaf, which is its
+    verdict, and the premiss subtrees.  One flat tuple per node, so a
+    memoised node keeps no separate children tuple; equality and hashing
+    are the tuple's."""
 
     __slots__ = ()
     node = property(itemgetter(0))
@@ -203,9 +204,10 @@ def complete_search(
     A provable ``b`` gets a proof: every leaf is axiomatic.  Otherwise the
     tree is the search explored up to the first open leaf, which ends its
     rightmost path; premisses after the first open one are left out.  The
-    name dates from when the search built every branch, and it stays so
-    that callers that reach the search by name, the benchmark's tracing
-    wrapper among them, keep working.
+    root's ``leaf_status`` is the verdict either way.  The name dates from
+    when the search built every branch, and it stays so that callers that
+    reach the search by name, the benchmark's tracing wrapper among them,
+    keep working.
 
     Identical sub-bisequents share one subtree (multiset equality), which
     cannot change the verdict because the rules are context independent.
@@ -222,17 +224,6 @@ def complete_search(
     return _search(logic, catalog(logic), strategy, memo if use_memo else None, b)
 
 
-def _complete_tree(
-    logic: LogicDef, b: Bisequent, memo: dict[Bisequent, ProofTree]
-) -> ProofTree:
-    """``b``'s search run to completion: every premiss of every decomposed
-    node is explored, so the tree holds every open leaf.  Interpolation
-    needs them all.  ``memo`` must not be shared with ``complete_search``,
-    whose trees stop at the first open leaf."""
-    _reject_undeclared_constants(logic, b)
-    return _search(logic, catalog(logic), "leftmost", memo, b, to_completion=True)
-
-
 def _reject_undeclared_constants(logic: LogicDef, b: Bisequent) -> None:
     if logic.constants_enabled:
         return
@@ -246,9 +237,8 @@ def _reject_undeclared_constants(logic: LogicDef, b: Bisequent) -> None:
 
 
 def _last_leaf(tree: ProofTree) -> ProofTree:
-    """The leaf at the end of the rightmost path.  In a tree that stopped
-    at its first open leaf, this is that leaf if the tree is open, and an
-    axiomatic leaf otherwise."""
+    """The leaf at the end of the rightmost path: the first open leaf of a
+    refutation, whose countermodel ``prove_bisequent`` reads off."""
     while len(tree) > 4:
         tree = tree[-1]
     return tree
@@ -265,7 +255,6 @@ def _search(
     strategy: str,
     memo: dict[Bisequent, ProofTree] | None,
     node: Bisequent,
-    to_completion: bool = False,
 ) -> ProofTree:
     # a module-level function rather than a closure over itself, so that no
     # reference cycle keeps the memo alive after the search returns
@@ -281,11 +270,11 @@ def _search(
         occurrence = _OCCURRENCES.setdefault(occurrence, occurrence)
         children = []
         for premiss in apply_rule(rule, node, occurrence):
-            child = _search(logic, cat, strategy, memo, premiss, to_completion)
+            child = _search(logic, cat, strategy, memo, premiss)
             children.append(child)
-            if not to_completion and _last_leaf(child)[3] == "open":
+            if child[3] == "open":
                 break
-        tree = ProofTree(node, rule.name, occurrence, children, None)
+        tree = ProofTree(node, rule.name, occurrence, children, child[3])
     if memo is not None:
         memo[node] = tree
     return tree
@@ -338,10 +327,9 @@ def prove_bisequent(
     first open leaf (atoms absent from that branch get u).  Raises
     ``EvaluationError`` as ``complete_search`` does."""
     tree = complete_search(logic, root, strategy, memo=memo)
-    leaf = _last_leaf(tree)
-    if leaf.leaf_status == "axiomatic":
+    if tree.leaf_status == "axiomatic":
         return Proved(tree)
-    assignment = countermodel_from_leaf(leaf.node)
+    assignment = countermodel_from_leaf(_last_leaf(tree).node)
     for name in sorted(bisequent_atoms(root)):
         assignment.setdefault(name, Value.UNDEF)
     return Refuted(tree, dict(sorted(assignment.items())))

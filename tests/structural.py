@@ -1,16 +1,17 @@
-"""Structural rules realised by re-proof, the proof check and the
-bisequent edits the tests use: weakening and cut are admissible in the
-bisequent calculus, so a weakened or cut conclusion of provable
-bisequents must be provable again.
+"""Structural rules realised by re-proof, the proof check, the bisequent
+edits and the complete-search reference the tests use: weakening and cut
+are admissible in the bisequent calculus, so a weakened or cut conclusion
+of provable bisequents must be provable again.
 """
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from trivalent.bisequent import SLOTS, Bisequent, bisequent, render_bisequent
+from trivalent.bisequent import SLOTS, Bisequent, bisequent, is_axiomatic, render_bisequent
+from trivalent.calculus import apply_rule, catalog
 from trivalent.formula import Formula
 from trivalent.logics import LogicDef
-from trivalent.prover import ProofTree, SearchResult, prove_bisequent
+from trivalent.prover import ProofTree, SearchResult, _select_occurrence, prove_bisequent
 
 
 class CutShapeError(ValueError):
@@ -32,6 +33,33 @@ def remove_at(b: Bisequent, slot: str, index: int) -> Bisequent:
     """``b`` without the formula at ``slot[index]``."""
     fs = b.slot(slot)
     return replace(b, slot, fs[:index] + fs[index + 1 :])
+
+
+def complete_tree(
+    logic: LogicDef, b: Bisequent, memo: dict[Bisequent, ProofTree] | None = None
+) -> ProofTree:
+    """``b``'s search run to completion, a reference for the prover and
+    for interpolation's leaf walk: axiomatic nodes close at once, as in the
+    prover, but every premiss of every decomposed node is explored, so the
+    tree holds every open leaf.  Equal sub-bisequents share one subtree
+    through ``memo``.  An inner node carries its last leaf's status, as
+    the prover's nodes do, though here that is not its verdict."""
+    return _complete(logic, catalog(logic), {} if memo is None else memo, b)
+
+
+def _complete(logic, cat, memo, node: Bisequent) -> ProofTree:
+    if (tree := memo.get(node)) is not None:
+        return tree
+    if is_axiomatic(logic, node):
+        tree = ProofTree(node, None, None, (), "axiomatic")
+    elif (picked := _select_occurrence(cat, node, "leftmost")) is None:
+        tree = ProofTree(node, None, None, (), "open")
+    else:
+        slot, index, rule = picked
+        children = [_complete(logic, cat, memo, p) for p in apply_rule(rule, node, (slot, index))]
+        tree = ProofTree(node, rule.name, (slot, index), children, children[-1].leaf_status)
+    memo[node] = tree
+    return tree
 
 
 def is_proof(tree: ProofTree) -> bool:

@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from trivalent import prover
 from trivalent.bisequent import (
     Bisequent,
     bisequent,
@@ -25,10 +24,11 @@ from trivalent.formula import (
     UnknownConnectiveError,
 )
 from trivalent.logics import lookup_logic
-from trivalent.prover import _complete_tree, complete_search
+from trivalent.prover import complete_search
 from trivalent.semantics import bisequent_valid
 
 from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
+import structural
 from structural import add
 
 K3 = lookup_logic("K3")
@@ -218,7 +218,7 @@ def _reference_axiomatic(logic, b):
 @pytest.mark.parametrize("constants", (False, True), ids=("plain", "constants"))
 @pytest.mark.parametrize("name", ALL_LOGICS)
 def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatch):
-    """Every premiss the search gets from ``apply_rule`` carries the
+    """Every premiss a complete search gets from ``apply_rule`` carries the
     canonical key and hash that building it from its formulas gives, and
     its axiom test agrees with a reference test on formula sets."""
     logic = lookup_logic(name)
@@ -231,7 +231,7 @@ def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatc
         premisses.extend(out)
         return out
 
-    monkeypatch.setattr(prover, "apply_rule", recording)
+    monkeypatch.setattr(structural, "apply_rule", recording)
     rng = random.Random(f"keys:{name}:{constants}")
     for _ in range(20):
         sides = [
@@ -241,7 +241,7 @@ def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatc
         if constants:
             sides = [_with_constants(rng, f) for f in sides]
         slots = rng.sample(("ant1", "suc1", "ant2", "suc2"), 2)
-        _complete_tree(logic, bisequent(**dict(zip(slots, [[f] for f in sides]))), {})
+        structural.complete_tree(logic, bisequent(**dict(zip(slots, [[f] for f in sides]))))
     assert len(premisses) > 50
     for premiss in premisses:
         fresh = bisequent(**premiss.slots())

@@ -401,3 +401,28 @@ class TestStartup:
         assert not countermodel & engine
         assert "trivalent.prover" in prove and "trivalent.interpolation" not in prove
         assert engine <= interpolate
+
+    def test_set_up_builds_catalogs_lazily(self):
+        # what the benchmark's set-up probe does: every logic's catalog,
+        # with no rule synthesised until a search asks for it
+        probe = (
+            "import sys\n"
+            "import trivalent\n"
+            "names = trivalent.available_logics()\n"
+            "for name in names:\n"
+            "    trivalent.catalog(trivalent.lookup_logic(name))\n"
+            "calculus = sys.modules['trivalent.calculus']\n"
+            "print(len(names), calculus._synthesized.cache_info().currsize)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('trivalent'))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(trivalent.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        counts, loaded = done.stdout.splitlines()
+        assert counts == "24 0"
+        assert set(loaded.split()) == {"trivalent"} | {
+            f"trivalent.{m}"
+            for m in ("formula", "record", "logics", "bisequent", "semantics", "calculus")
+        }

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from trivalent import interpolation
 from trivalent.bisequent import bisequent
+from trivalent.calculus import apply_rule
 from trivalent.formula import Atom, Compound, atoms
 from trivalent.interpolation import (
     InterpolationError,
@@ -12,16 +15,17 @@ from trivalent.interpolation import (
     NoSharedAtomError,
     NotContingentError,
     NotEntailedError,
+    _open_leaf_atoms,
     combined_leaf_check,
     interpolate,
     interpolate_extended,
     verify_interpolant,
 )
 from trivalent.logics import lookup_logic
-from trivalent.prover import _complete_tree
 from trivalent.semantics import matrix_consequence
 
 from conftest import random_formula
+from structural import complete_tree
 
 I1 = lookup_logic("I1")
 P1 = lookup_logic("P1")
@@ -69,7 +73,7 @@ class TestInterpolate:
     def test_shared_subtree_gives_no_repeated_disjunct(self):
         # the left tree reaches the leaf "p, q =>" along two paths
         phi, psi = I1.parse("(p | q) & (p | q)"), I1.parse("p | q")
-        leaves = _complete_tree(I1, bisequent(ant1=(phi,)), {}).open_leaves()
+        leaves = complete_tree(I1, bisequent(ant1=(phi,))).open_leaves()
         assert len({id(leaf) for leaf in leaves}) < len(leaves)
         inter = interpolate(I1, phi, psi)
         disjuncts, todo = [], [inter]
@@ -108,18 +112,18 @@ class TestCombinedLeafCheck:
         assert not combined_leaf_check(left, right)
 
     def test_leaves_of_valid_entailments_pass(self):
-        from trivalent.interpolation import _build_trees
-
         phi, psi = I1.parse("p & (q | r)"), I1.parse("(p | q) & (p | r)")
         assert matrix_consequence(I1, (phi,), psi)
-        leaves_phi, leaves_psi = _build_trees(I1, phi, psi)
+        leaves_phi = _open_leaf_atoms(I1, bisequent(ant1=(phi,)))
+        leaves_psi = _open_leaf_atoms(I1, bisequent(suc1=(psi,)))
+        assert leaves_phi and leaves_psi
         assert combined_leaf_check(leaves_phi, leaves_psi)
 
 
 @pytest.mark.parametrize("name", ("I1", "I2", "P1", "P2"))
 def test_sampled_interpolants_verify(name):
     logic = lookup_logic(name)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(f"sampled:{name}")
     done = 0
     attempts = 0
     while done < 25 and attempts < 4000:
@@ -146,7 +150,7 @@ def test_sampled_interpolants_verify(name):
 @pytest.mark.parametrize("name", ("K3", "LP", "G3", "G3prime"))
 def test_extended_language_interpolants_verify(name):
     logic = lookup_logic(name)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(f"extended:{name}")
     done = 0
     attempts = 0
     while done < 15 and attempts < 4000:
@@ -186,3 +190,37 @@ def test_extended_interpolant_uses_the_added_negation_only_when_needed():
     inter, host = interpolate_extended(k3, phi, psi)
     assert host.name.startswith("K3+")
     assert verify_interpolant(host, phi, psi, inter)
+
+
+@pytest.mark.parametrize("name", ("I1", "I2", "P1", "P2", "K3", "LP", "G3", "G3prime"))
+def test_leaf_walk_matches_the_complete_search_reference(name, monkeypatch):
+    """The walk's leaves are the distinct open leaves of the complete
+    search, in the order the complete search first lists them, and the
+    walk decomposes each distinct node once."""
+    logic = lookup_logic(name)
+    ant, suc = logic.goal_slots
+    applied = []
+
+    def counting(rule, b, occurrence):
+        applied.append(b)
+        return apply_rule(rule, b, occurrence)
+
+    monkeypatch.setattr(interpolation, "apply_rule", counting)
+    rng = random.Random(f"leaf-walk:{name}")
+    shared = 0
+    for _ in range(200):
+        phi = random_formula(rng, logic.signature, ("p", "q", "r"), rng.randint(1, 5))
+        psi = random_formula(rng, logic.signature, ("p", "q", "r"), rng.randint(1, 5))
+        for root in (bisequent(**{ant: (phi,)}), bisequent(**{suc: (psi,)}),
+                     bisequent(**{ant: (phi,), suc: (psi,)})):
+            memo = {}
+            leaves = complete_tree(logic, root, memo).open_leaves()
+            expected = list(dict.fromkeys(
+                LeafAtoms(*(frozenset(f.name for f in fs) for fs in leaf.node.slots().values()))
+                for leaf in leaves
+            ))
+            applied.clear()
+            assert _open_leaf_atoms(logic, root) == expected
+            assert Counter(applied) == Counter(t.node for t in memo.values() if t.rule)
+            shared += len(expected) < len(leaves)
+    assert shared  # some leaf is reached twice, so the deduplication is exercised

@@ -21,7 +21,6 @@ from trivalent.prover import (
     ProofTree,
     Proved,
     Refuted,
-    _complete_tree,
     _select_occurrence,
     complete_search,
     countermodel_from_leaf,
@@ -32,8 +31,15 @@ from trivalent.prover import (
 )
 from trivalent.semantics import bisequent_valid, falsifies, matrix_consequence
 
-from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
-from structural import CutShapeError, add, admissible_cut, admissible_weaken, is_proof
+from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula, run_sweep
+from structural import (
+    CutShapeError,
+    add,
+    admissible_cut,
+    admissible_weaken,
+    complete_tree,
+    is_proof,
+)
 
 K3 = lookup_logic("K3")
 LP = lookup_logic("LP")
@@ -67,7 +73,7 @@ class TestCompleteSearch:
     def test_open_leaves_are_atomic_and_compound_leaves_axiomatic(self):
         b = bp("p -> (q | ~p) => q & p | p => ~q")
         compound = 0
-        for tree in (complete_search(K3, b), _complete_tree(K3, b, {})):
+        for tree in (complete_search(K3, b), complete_tree(K3, b)):
             for leaf in tree.leaves():
                 if leaf.leaf_status == "open":
                     assert is_atomic(leaf.node)
@@ -82,7 +88,7 @@ class TestCompleteSearch:
         assert tree.is_leaf and tree.leaf_status == "axiomatic"
 
     def test_children_are_exactly_the_rule_premisses(self):
-        tree = _complete_tree(K3, bp("p -> q => p & q | r => ~r"), {})
+        tree = complete_tree(K3, bp("p -> q => p & q | r => ~r"))
         stack = [tree]
         while stack:
             node = stack.pop()
@@ -291,10 +297,49 @@ def test_early_closure_is_sound(name):
         conclusion = random_formula(rng, logic.signature, "pqr", rng.randint(2, 4))
         tree = prove(logic, mode, (premiss,), conclusion).tree
         for node in _distinct(tree):
-            if node.leaf_status == "axiomatic" and not is_atomic(node.node):
+            if node.is_leaf and node.leaf_status == "axiomatic" and not is_atomic(node.node):
                 assert bisequent_valid(logic, node.node)
                 closed += 1
     assert closed
+
+
+def _assert_nodes_keep_their_verdict(nodes):
+    # checked on every node, so by induction a node marked "axiomatic" has
+    # only axiomatic leaves
+    for node in nodes:
+        last = node
+        while not last.is_leaf:
+            last = last.children[-1]
+        assert node.leaf_status == last.leaf_status
+        assert all(c.leaf_status == "axiomatic" for c in node.children[:-1])
+
+
+@pytest.mark.parametrize("name", ("K3", "L3", "PWK"))
+def test_each_node_keeps_its_last_leafs_status_in_a_shared_memo(name):
+    logic = lookup_logic(name)
+    data = run_sweep(logic)
+    assert data.proved and data.refuted and not data.disagreements
+    _assert_nodes_keep_their_verdict(data.memo.values())
+    for root in data.proved:
+        assert data.memo[root].leaf_status == "axiomatic"
+    for root, _ in data.refuted:
+        assert data.memo[root].leaf_status == "open"
+
+
+@pytest.mark.parametrize("name, n", (("K3", 12), ("L3", 5), ("I1", 12), ("K3w", 3), ("PWK", 3)))
+def test_each_node_keeps_its_last_leafs_status_on_deep_goals(name, n):
+    logic = lookup_logic(name)
+    mode = designated_mode(logic)
+    rng = random.Random(f"verdicts:{name}:{n}")
+    verdicts = set()
+    for _ in range(20):
+        a = random_formula(rng, logic.signature, "pqrs", n)
+        b = random_formula(rng, logic.signature, "pqrs", n)
+        result = prove(logic, mode, (a,), b)
+        assert result.tree.leaf_status == ("axiomatic" if result.proved else "open")
+        _assert_nodes_keep_their_verdict(_distinct(result.tree))
+        verdicts.add(result.proved)
+    assert verdicts == {True, False}
 
 
 class TestProve:
@@ -373,7 +418,7 @@ class TestCountermodelFromLeaf:
     @given(formulas(K3.signature, atom_names=("p", "q"), max_leaves=4))
     @settings(max_examples=60)
     def test_open_leaves_yield_genuine_falsifiers(self, f):
-        tree = _complete_tree(K3, bisequent(suc1=(f,), ant2=(f,)), {})
+        tree = complete_tree(K3, bisequent(suc1=(f,), ant2=(f,)))
         for leaf in tree.open_leaves():
             h = countermodel_from_leaf(leaf.node)
             assert falsifies(K3, h, leaf.node)
@@ -512,7 +557,7 @@ class TestGoalModes:
     def test_nonstandard_modes_match_their_semantics(self, name, mode):
         # proofs in these modes decide validity of the mode's root shape
         logic = lookup_logic(name)
-        rng = random.Random(hash((name, mode)) & 0xFFFF)
+        rng = random.Random(f"modes:{name}:{mode}")
         for _ in range(40):
             premiss = random_formula(rng, logic.signature, ("p", "q"), rng.randint(0, 3))
             conclusion = random_formula(rng, logic.signature, ("p", "q"), rng.randint(0, 3))
