@@ -8,7 +8,12 @@ give byte-identical outputs by running this script at both:
   N seeded single-premiss goals per logic, in all 24 logics;
 - interpolants: the interpolant's text and its host logic's name, or the
   error's class and message, for 10 * N seeded attempts per host logic,
-  in the 8 logics with an interpolant construction.
+  in the 8 logics with an interpolant construction;
+- memos: N seeded goals per logic decided through one memo per logic,
+  as the benchmark's sweep does: each verdict, then every memo entry in
+  insertion order (the bisequent as rendered, the rule, the leaf status
+  and the number of children).  A fresh memo per goal, as in proofs,
+  hides how the memo matches bisequents; a shared one shows it.
 
     PYTHONPATH=src python3 scripts/fingerprint.py --goals 300
 """
@@ -21,9 +26,10 @@ import random
 import sys
 from pathlib import Path
 
+from trivalent.bisequent import render_bisequent
 from trivalent.interpolation import interpolate_extended
 from trivalent.logics import available_logics, lookup_logic
-from trivalent.prover import designated_mode, prove
+from trivalent.prover import designated_mode, goal_bisequent, prove, prove_bisequent
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import random_formula  # noqa: E402
@@ -71,6 +77,27 @@ def interpolants(n: int) -> tuple[int, int, str]:
     return count, found, digest.hexdigest()
 
 
+def memos(n: int) -> tuple[int, int, str]:
+    digest = hashlib.sha256()
+    count = entries = 0
+    for name in available_logics():
+        logic = lookup_logic(name)
+        sig = logic.signature
+        rng = random.Random(f"fingerprint:memos:{name}")
+        memo: dict = {}
+        for _ in range(n):
+            a = random_formula(rng, sig, "pqr", rng.randint(0, 4))
+            b = random_formula(rng, sig, "pqr", rng.randint(0, 4))
+            root = goal_bisequent(logic, designated_mode(logic), (a,), b)
+            digest.update(json.dumps(prove_bisequent(logic, root, memo=memo).proved).encode())
+            count += 1
+        for node, tree in memo.items():
+            record = (render_bisequent(node, sig), tree.rule, tree.leaf_status, len(tree.children))
+            digest.update(json.dumps(record).encode() + b"\n")
+        entries += len(memo)
+    return count, entries, digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -82,6 +109,8 @@ def main() -> int:
     print(f"proofs        {n_goals:6} goals                       {proof_hash}")
     n_tries, n_found, inter_hash = interpolants(args.goals)
     print(f"interpolants  {n_tries:6} attempts, {n_found:6} interpolants  {inter_hash}")
+    n_goals, n_entries, memo_hash = memos(args.goals)
+    print(f"memos         {n_goals:6} goals, {n_entries:6} memo entries  {memo_hash}")
     return 0
 
 

@@ -13,14 +13,13 @@ shifted to its offset in the whole text.
 A formula is a tuple (see ``formula``), so it is its own canonical key:
 a bisequent's key is each slot's formulas sorted, and the axiom test
 compares sets of formulas.  Sorting, comparing and hashing all run in C.
-The record keeps the key in four sorted-slot fields beside the four
-insertion-order slots, not in a tuple of its own, and a slot that is
-already in sorted order (every slot of none or one formula is) serves as
-its own sorted form, so most slots cost one tuple, not two.
+The record stores only the four insertion-order slots; the key is
+computed from them whenever the bisequent is hashed or compared.
 A bisequent built from formulas (``bisequent()``, ``Bisequent(...)``,
-the parser) checks that every slot holds formulas; a premiss
-(``Bisequent.derive``) skips the check and shares its parent's slot and
-sorted-slot tuples for every slot the rule leaves alone.
+the parser) takes any iterable per slot, stores it as a tuple and checks
+that it holds formulas; a premiss (``Bisequent.derive``) skips both, and
+``calculus.apply_rule`` hands it its parent's tuple for every slot the
+rule leaves alone.
 
 A proof goal ``premisses |- conclusion`` becomes its root bisequent here
 too (``goal_bisequent``), placed by ``logics.GOAL_SLOTS``, so that the
@@ -28,7 +27,6 @@ command line can build a goal without importing the prover.
 """
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .formula import (
@@ -61,35 +59,31 @@ __all__ = [
     "render_bisequent",
 ]
 
-_SORTED_SLOTS = tuple(f"_sorted_{slot}" for slot in SLOTS)
-
 
 class Bisequent(Record):
     """``ant1 => suc1 | ant2 => suc2``: one formula tuple per slot, in
-    insertion order, and beside each its formulas sorted.  A slot already
-    in sorted order, as every slot of none or one formula is, is its own
-    sorted form.  Equality and hashing go through the sorted forms."""
+    insertion order.  Equality and hashing go through each slot's
+    formulas sorted."""
 
-    _fields = SLOTS
-    __slots__ = (*SLOTS, *_SORTED_SLOTS)
+    __slots__ = _fields = SLOTS
 
     def __init__(
         self,
-        ant1: tuple[Formula, ...] = (),
-        suc1: tuple[Formula, ...] = (),
-        ant2: tuple[Formula, ...] = (),
-        suc2: tuple[Formula, ...] = (),
+        ant1: Iterable[Formula] = (),
+        suc1: Iterable[Formula] = (),
+        ant2: Iterable[Formula] = (),
+        suc2: Iterable[Formula] = (),
     ) -> None:
-        for name, sorted_name, fs in zip(SLOTS, _SORTED_SLOTS, (ant1, suc1, ant2, suc2)):
+        for name, fs in zip(SLOTS, (ant1, suc1, ant2, suc2)):
+            fs = tuple(fs)  # a list would be shared, and extended, by the premisses
             # a formula is a tuple too, so a bare formula given as a slot
             # would otherwise pass for a slot holding its tag and fields
             if not all(isinstance(f, (Atom, Constant, Compound)) for f in fs):
                 raise TypeError("a bisequent slot must be a sequence of formulas")
             _set(self, name, fs)
-            _set(self, sorted_name, _sorted(fs))
 
-    #: the canonical key: each slot's formulas sorted
-    _key = property(attrgetter(*_SORTED_SLOTS))
+    #: the canonical key: each slot's formulas sorted, computed on each use
+    _key = property(lambda b: (_sorted(b.ant1), _sorted(b.suc1), _sorted(b.ant2), _sorted(b.suc2)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bisequent):
@@ -108,15 +102,10 @@ class Bisequent(Record):
         return {s: getattr(self, s) for s in SLOTS}
 
     def derive(self, formulas: Sequence[tuple]) -> "Bisequent":
-        """A premiss from four formula tuples in slot order, unchecked.  A
-        slot that is this bisequent's own tuple shares its sorted form."""
+        """A premiss from four formula tuples in slot order, unchecked."""
         b = object.__new__(Bisequent)
-        own = (self.ant1, self.suc1, self.ant2, self.suc2)
-        for name, sorted_name, fs, o, so in zip(
-            SLOTS, _SORTED_SLOTS, formulas, own, self._key
-        ):
+        for name, fs in zip(SLOTS, formulas):
             _set(b, name, fs)
-            _set(b, sorted_name, so if fs is o else _sorted(fs))
         return b
 
     def formulas(self) -> Iterator[tuple[str, int, Formula]]:
@@ -126,11 +115,7 @@ class Bisequent(Record):
 
 
 def _sorted(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    """``fs`` in sorted order; ``fs`` itself when it already is."""
-    if len(fs) < 2:
-        return fs
-    out = tuple(sorted(fs))
-    return fs if out == fs else out
+    return fs if len(fs) < 2 else tuple(sorted(fs))
 
 
 def bisequent(
@@ -139,7 +124,7 @@ def bisequent(
     ant2: Iterable[Formula] = (),
     suc2: Iterable[Formula] = (),
 ) -> Bisequent:
-    return Bisequent(tuple(ant1), tuple(suc1), tuple(ant2), tuple(suc2))
+    return Bisequent(ant1, suc1, ant2, suc2)
 
 
 # ---------------------------------------------------------------------------

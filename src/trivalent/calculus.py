@@ -178,8 +178,8 @@ def apply_rule(
     """One premiss bisequent per premiss schema: the principal occurrence
     is removed, each placement appends its immediate subformula to its
     slot in placement order, contexts are copied unchanged.  Each premiss
-    is built unchecked by ``Bisequent.derive``, which shares the parent's
-    sorted tuple for every slot the premiss does not change."""
+    is built unchecked by ``Bisequent.derive`` and keeps the parent's own
+    tuple in every slot the premiss does not change."""
     slot, index = occurrence
     if slot != rule.principal_slot:
         raise OccurrenceError(

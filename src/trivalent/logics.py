@@ -225,7 +225,8 @@ class LogicDef(Record):
 
 def load_tables(path: Path) -> dict[str, TruthTable]:
     """Parse a truth-table catalog file; every table must be a connective
-    of ``formula.CONNECTIVES`` with the arity declared there."""
+    of ``formula.CONNECTIVES`` with the arity declared there, and neither
+    a table nor a row of one may be given twice."""
     out: dict[str, TruthTable] = {}
     name: str | None = None
     arity = 0
@@ -258,6 +259,8 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
             if len(parts) != 3 or parts[2] not in ("unary", "binary"):
                 raise CatalogFileError(f"{path.name}:{lineno}: bad table header")
             name = parts[1]
+            if name in out:
+                raise CatalogFileError(f"{path.name}:{lineno}: table {name!r} defined twice")
             arity = 1 if parts[2] == "unary" else 2
             declared = fm.CONNECTIVES.get(name)
             if declared is None:
@@ -277,6 +280,8 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
                 raise CatalogFileError(f"{path.name}:{lineno}: bad value") from exc
             if len(cells) != (1 if arity == 1 else 3):
                 raise CatalogFileError(f"{path.name}:{lineno}: wrong row width")
+            if row in rows:
+                raise CatalogFileError(f"{path.name}:{lineno}: row {parts[0]!r} given twice")
             rows[row] = cells
         else:
             raise CatalogFileError(f"{path.name}:{lineno}: unrecognised line")
@@ -285,7 +290,8 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
 
 
 def load_logics(path: Path) -> dict[str, LogicDef]:
-    """Parse a logic catalog file (requires tables to be loadable)."""
+    """Parse a logic catalog file (requires tables to be loadable); neither
+    a logic nor a line of one may be given twice."""
     out: dict[str, LogicDef] = {}
     name: str | None = None
     fields: dict[str, tuple[str, ...]] = {}
@@ -314,7 +320,11 @@ def load_logics(path: Path) -> dict[str, LogicDef]:
             if len(parts) != 2:
                 raise CatalogFileError(f"{path.name}:{lineno}: bad logic header")
             name = parts[1]
+            if name in out:
+                raise CatalogFileError(f"{path.name}:{lineno}: logic {name!r} defined twice")
         elif name is not None and parts[0] in ("designated", "connectives"):
+            if parts[0] in fields:
+                raise CatalogFileError(f"{path.name}:{lineno}: {parts[0]!r} given twice")
             fields[parts[0]] = tuple(parts[1:])
         else:
             raise CatalogFileError(f"{path.name}:{lineno}: unrecognised line")

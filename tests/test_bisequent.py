@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trivalent.bisequent import (
     Bisequent,
@@ -24,8 +25,8 @@ from trivalent.formula import (
     UnknownConnectiveError,
 )
 from trivalent.logics import lookup_logic
-from trivalent.prover import complete_search
-from trivalent.semantics import bisequent_valid
+from trivalent.prover import complete_search, prove_bisequent
+from trivalent.semantics import bisequent_valid, falsifies
 
 from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
 import structural
@@ -254,23 +255,84 @@ def test_a_slot_in_sorted_order_is_its_own_sorted_form():
     p, q = Atom("p"), Atom("q")
     b = bisequent(ant1=(p, q), suc1=(q,), ant2=(q, p), suc2=())
     ant1, suc1, ant2, suc2 = b._key
-    assert ant1 is b.ant1 and suc1 is b.suc1 and suc2 is b.suc2
+    assert ant1 == b.ant1 and suc1 is b.suc1 and suc2 is b.suc2
     assert ant2 == (p, q) and b.ant2 == (q, p)
     assert b == bisequent(ant1=(q, p), suc1=(q,), ant2=(p, q))
 
 
 def test_a_premiss_shares_its_parents_tuples_in_untouched_slots():
     """An untouched slot of a premiss is the parent's insertion-order
-    tuple and the parent's sorted form; in sorted order the two are one."""
+    tuple, so it has the parent's sorted form too."""
     b = bp("p & q => r, s | ~t, t => u")
     rule = catalog(K3).rule_for("and", "ant1")
     (premiss,) = apply_rule(rule, b, ("ant1", 0))
     for i, slot in enumerate(("suc1", "ant2", "suc2"), start=1):
         assert premiss.slot(slot) is b.slot(slot)
-        assert premiss._key[i] is b._key[i]
-    assert premiss._key[1] is b.suc1 and premiss._key[3] is b.suc2
+        assert premiss._key[i] == b._key[i]
+    assert premiss._key[1] == b.suc1 and premiss._key[3] is b.suc2
     assert premiss._key[2] is not b.ant2  # atoms sort before compounds
     assert premiss.ant1 == (Atom("p"), Atom("q"))
+
+
+def test_a_list_slot_is_copied_so_premisses_cannot_share_it():
+    """A list given as a slot is stored as a tuple: the premisses of a
+    rule cannot extend it in place through one another, so an invalid
+    root is refuted and the root keeps its slots."""
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    ant1 = [Compound("or", (p, q)), r]
+    root = Bisequent(ant1=ant1, suc1=(p,))
+    before = root.slots()
+    assert not bisequent_valid(K3, root)
+    result = prove_bisequent(K3, root)
+    assert not result.proved
+    assert falsifies(K3, result.countermodel, root)
+    assert root.slots() == before and ant1 == [Compound("or", (p, q)), r]
+
+
+def test_list_tuple_and_generator_slots_give_one_bisequent():
+    p, q = Atom("p"), Atom("q")
+    built = [
+        Bisequent(ant1=[p, q], suc2=[q]),
+        Bisequent(ant1=(p, q), suc2=(q,)),
+        Bisequent(ant1=(f for f in (p, q)), suc2=iter([q])),
+        bisequent(ant1=[p, q], suc2=iter((q,))),
+    ]
+    for b in built:
+        assert b.ant1 == (p, q) and b.suc2 == (q,) and b.suc1 == b.ant2 == ()
+        assert b == built[0] and hash(b) == hash(built[0])
+
+
+@st.composite
+def _multisets(draw):
+    """Four slots of atoms and small compounds, with repeats, and the same
+    slots with each one's formulas permuted."""
+    pool = draw(st.lists(formulas(SIG, max_leaves=3), min_size=1, max_size=4, unique=True))
+    slots = [tuple(draw(st.lists(st.sampled_from(pool), max_size=5))) for _ in range(4)]
+    permuted = [tuple(draw(st.permutations(fs))) for fs in slots]
+    return slots, permuted
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multisets(), st.data())
+def test_a_bisequent_is_its_slots_as_multisets(case, data):
+    """Permuting a slot keeps the bisequent; changing one formula's
+    multiplicity, or moving a formula to another slot, does not."""
+    slots, permuted = case
+    b = Bisequent(*slots)
+    assert b == Bisequent(*permuted) and hash(b) == hash(Bisequent(*permuted))
+    i = data.draw(st.integers(0, 3))
+    f = data.draw(st.sampled_from([*slots[i], Atom("p")]))
+    more = slots.copy()
+    more[i] += (f,)
+    assert b != Bisequent(*more)
+    if f in slots[i]:
+        fewer = slots.copy()
+        at = slots[i].index(f)
+        fewer[i] = slots[i][:at] + slots[i][at + 1 :]
+        assert b != Bisequent(*fewer)
+        j = data.draw(st.sampled_from([k for k in range(4) if k != i]))
+        fewer[j] += (f,)
+        assert b != Bisequent(*fewer)
 
 
 def test_records_have_no_instance_dict():

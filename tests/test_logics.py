@@ -11,6 +11,7 @@ from trivalent.logics import (
     VALUES,
     available_logics,
     evaluate,
+    load_logics,
     load_tables,
     lookup_logic,
     slot_admits,
@@ -64,6 +65,29 @@ def test_table_file_must_match_the_declared_connectives(tmp_path, header, messag
     path.write_text(f"# one table\n\n{header}\n  1 : 0\n")
     with pytest.raises(CatalogFileError, match=f"tables.txt:3: {message}"):
         load_tables(path)
+
+
+_NEG = "table neg unary\n  1 : 0\n  u : u\n  0 : 1\n"
+_K9 = "logic K9\n  designated 1\n  connectives neg and\n"
+
+
+@pytest.mark.parametrize(
+    "load, text, lineno, message",
+    (
+        (load_tables, _NEG + _NEG, 5, "table 'neg' defined twice"),
+        (load_tables, "table neg unary\n  1 : 0\n  u : u\n  1 : 1\n  0 : 1\n", 4,
+         "row '1' given twice"),
+        (load_logics, _K9 + "\n" + _K9, 5, "logic 'K9' defined twice"),
+        (load_logics, _K9 + "  designated 1 u\n", 4, "'designated' given twice"),
+        (load_logics, _K9 + "  connectives neg or\n", 4, "'connectives' given twice"),
+    ),
+    ids=("table", "row", "logic", "designated", "connectives"),
+)
+def test_a_catalog_file_gives_each_entry_once(tmp_path, load, text, lineno, message):
+    path = tmp_path / "catalog.txt"
+    path.write_text(text)
+    with pytest.raises(CatalogFileError, match=f"catalog.txt:{lineno}: {message}"):
+        load(path)
 
 
 def test_values_survive_copy_and_pickle():

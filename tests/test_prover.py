@@ -233,9 +233,10 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
 
 def test_memo_costs_under_340_traced_bytes_per_entry():
     """One memo per logic over ``run_sweep``'s goal shapes in K3 and L3,
-    with conclusions of up to 2 connectives: each entry keeps a bisequent,
-    its sorted slots and a flat proof node.  With the results dropped, the
-    memos and their roots are all that stays traced."""
+    with conclusions of up to 2 connectives: each entry keeps a bisequent
+    (its four slot tuples; the key is computed when hashed) and a flat
+    proof node.  With the results dropped, the memos and their roots are
+    all that stays traced."""
     goals = []
     for name in ("K3", "L3"):
         logic = lookup_logic(name)
