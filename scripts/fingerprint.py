@@ -13,7 +13,13 @@ give byte-identical outputs by running this script at both:
   as the benchmark's sweep does: each verdict, then every memo entry in
   insertion order (the bisequent as rendered, the rule, the leaf status
   and the number of children).  A fresh memo per goal, as in proofs,
-  hides how the memo matches bisequents; a shared one shows it.
+  hides how the memo matches bisequents; a shared one shows it;
+- oracle: for N seeded goal pairs per logic, once in the logic and once,
+  with about a quarter of the atoms turned into constants, in its
+  ``with_constants()`` form: ``matrix_consequence`` of the pair, then
+  ``bisequent_valid`` and ``falsifying_assignments`` of its bisequent in
+  each of the four goal modes, each as its result or its error's class
+  and message.
 
     PYTHONPATH=src python3 scripts/fingerprint.py --goals 300
 """
@@ -26,13 +32,14 @@ import random
 import sys
 from pathlib import Path
 
-from trivalent.bisequent import render_bisequent
+from trivalent.bisequent import bisequent, render_bisequent
 from trivalent.interpolation import interpolate_extended
-from trivalent.logics import available_logics, lookup_logic
+from trivalent.logics import GOAL_SLOTS, available_logics, lookup_logic
 from trivalent.prover import designated_mode, goal_bisequent, prove, prove_bisequent
+from trivalent.semantics import bisequent_valid, falsifying_assignments, matrix_consequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import random_formula  # noqa: E402
+from conftest import random_formula, with_constants  # noqa: E402
 
 HOSTS = ("I1", "I2", "P1", "P2", "K3", "LP", "G3", "G3prime")
 
@@ -98,6 +105,39 @@ def memos(n: int) -> tuple[int, int, str]:
     return count, entries, digest.hexdigest()
 
 
+def oracle(n: int) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    count = 0
+    for name in available_logics():
+        base = lookup_logic(name)
+        rng = random.Random(f"fingerprint:oracle:{name}")
+        for _ in range(n):
+            a = random_formula(rng, base.signature, "pqr", rng.randint(0, 4))
+            b = random_formula(rng, base.signature, "pqr", rng.randint(0, 4))
+            constant_pair = with_constants(rng, a), with_constants(rng, b)
+            for logic, (a, b) in ((base, (a, b)), (base.with_constants(), constant_pair)):
+                record = [logic.name, _outcome(matrix_consequence, logic, (a,), b)]
+                for ant, suc in GOAL_SLOTS.values():
+                    root = bisequent(**{ant: (a,), suc: (b,)})
+                    record.append(_outcome(bisequent_valid, logic, root))
+                    record.append(_outcome(falsifying_assignments, logic, root))
+                digest.update(json.dumps(record).encode() + b"\n")
+                count += 1
+    return count, digest.hexdigest()
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` with its truth values as their symbols, or the error's
+    class and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the error class and text are the output
+        return [type(exc).__name__, str(exc)]
+    if isinstance(result, list):
+        return [{k: v.value for k, v in h.items()} for h in result]
+    return result
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -111,6 +151,8 @@ def main() -> int:
     print(f"interpolants  {n_tries:6} attempts, {n_found:6} interpolants  {inter_hash}")
     n_goals, n_entries, memo_hash = memos(args.goals)
     print(f"memos         {n_goals:6} goals, {n_entries:6} memo entries  {memo_hash}")
+    n_goals, oracle_hash = oracle(args.goals)
+    print(f"oracle        {n_goals:6} goals                       {oracle_hash}")
     return 0
 
 

@@ -36,7 +36,7 @@ from .formula import (
     Formula,
     InputError,
     ParseError,
-    atoms,
+    _atom_names_in,
     parse_formula,
     render,
 )
@@ -82,11 +82,20 @@ class Bisequent(Record):
                 raise TypeError("a bisequent slot must be a sequence of formulas")
             _set(self, name, fs)
 
-    #: the canonical key: each slot's formulas sorted, computed on each use
-    _key = property(lambda b: (_sorted(b.ant1), _sorted(b.suc1), _sorted(b.ant2), _sorted(b.suc2)))
+    @property
+    def _key(self) -> tuple[tuple[Formula, ...], ...]:
+        """The canonical key: each slot's formulas sorted, computed on each
+        use.  A slot of fewer than two formulas is its own sorted form."""
+        ant1, suc1, ant2, suc2 = self.ant1, self.suc1, self.ant2, self.suc2
+        return (
+            ant1 if len(ant1) < 2 else tuple(sorted(ant1)),
+            suc1 if len(suc1) < 2 else tuple(sorted(suc1)),
+            ant2 if len(ant2) < 2 else tuple(sorted(ant2)),
+            suc2 if len(suc2) < 2 else tuple(sorted(suc2)),
+        )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Bisequent):
+        if other.__class__ is not Bisequent:
             return NotImplemented
         return self._key == other._key
 
@@ -103,9 +112,12 @@ class Bisequent(Record):
 
     def derive(self, formulas: Sequence[tuple]) -> "Bisequent":
         """A premiss from four formula tuples in slot order, unchecked."""
+        ant1, suc1, ant2, suc2 = formulas
         b = object.__new__(Bisequent)
-        for name, fs in zip(SLOTS, formulas):
-            _set(b, name, fs)
+        _set_ant1(b, ant1)
+        _set_suc1(b, suc1)
+        _set_ant2(b, ant2)
+        _set_suc2(b, suc2)
         return b
 
     def formulas(self) -> Iterator[tuple[str, int, Formula]]:
@@ -114,8 +126,8 @@ class Bisequent(Record):
                 yield s, i, f
 
 
-def _sorted(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    return fs if len(fs) < 2 else tuple(sorted(fs))
+#: each slot's own setter, which ``derive`` calls without a name lookup
+_set_ant1, _set_suc1, _set_ant2, _set_suc2 = (Bisequent.__dict__[s].__set__ for s in SLOTS)
 
 
 def bisequent(
@@ -161,15 +173,14 @@ def goal_bisequent(
 
 
 def bisequent_atoms(b: Bisequent) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for _, _, f in b.formulas():
-        out |= atoms(f)
-    return out
+    return frozenset(_atom_names_in((*b.ant1, *b.suc1, *b.ant2, *b.suc2)))
 
 
 def is_atomic(b: Bisequent) -> bool:
     """True iff every formula in all four slots is an atom or a constant."""
-    return all(not isinstance(f, Compound) for _, _, f in b.formulas())
+    return not any(
+        f.__class__ is Compound for fs in (b.ant1, b.suc1, b.ant2, b.suc2) for f in fs
+    )
 
 
 _TOP, _BOTTOM, _UNDEF = map(Constant, ("top", "bottom", "undef"))
@@ -182,8 +193,9 @@ def clashes(
     """True iff no assignment can meet the four slot constraints on sight:
     a member shared by ant1 and suc1, ant1 and suc2, or ant2 and suc2, or
     (with ``constants``) T in a succedent, F in an antecedent, or U in
-    ant1 or suc2.  The slots may hold formulas or atom names."""
-    if not (ant1.isdisjoint(suc1) and ant1.isdisjoint(suc2) and ant2.isdisjoint(suc2)):
+    ant1 or suc2.  The slots may hold formulas or atom names; ant1 and
+    suc2 must be sets, suc1 and ant2 may be any collection."""
+    if not (ant1.isdisjoint(suc1) and ant1.isdisjoint(suc2) and suc2.isdisjoint(ant2)):
         return True
     return constants and (
         _TOP in suc1 or _TOP in suc2
@@ -201,15 +213,12 @@ def is_axiomatic(logic: LogicDef, b: Bisequent) -> bool:
     constants (``complete_search`` rejects such a root); otherwise a
     constant counts as an opaque formula, so ``U => U | =>`` is axiomatic
     and ``U => | =>`` is not."""
-    if clashes(
-        set(b.ant1), set(b.suc1), set(b.ant2), set(b.suc2), logic.constants_enabled
-    ):
+    if clashes(set(b.ant1), b.suc1, b.ant2, set(b.suc2), logic.constants_enabled):
         return True
     for cid, slot in logic.extra_axiom_schemata:
-        if any(
-            isinstance(f, Compound) and f.connective == cid for f in getattr(b, slot)
-        ):
-            return True
+        for f in getattr(b, slot):
+            if f.__class__ is Compound and f[1] == cid:  # f[1]: its connective
+                return True
     return False
 
 

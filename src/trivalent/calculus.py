@@ -127,6 +127,8 @@ class Catalog:
 
     def __init__(self, logic: LogicDef) -> None:
         self.logic = logic
+        #: ``rule_for``'s answers by ``(connective, slot)``, filled on first
+        #: lookup; the prover's occurrence scan reads it directly
         self._rules: dict[tuple[str, str], RuleSchema | None] = {}
 
     def rule_for(self, connective: str, slot: str) -> RuleSchema | None:
@@ -172,6 +174,9 @@ def catalog(logic: LogicDef) -> Catalog:
 # ---------------------------------------------------------------------------
 # Rule application
 
+_SLOT_INDEX = {slot: k for k, slot in enumerate(SLOTS)}
+
+
 def apply_rule(
     rule: RuleSchema, b: Bisequent, occurrence: tuple[str, int]
 ) -> list[Bisequent]:
@@ -186,7 +191,11 @@ def apply_rule(
             f"rule {rule.name} expects its principal formula in "
             f"{rule.principal_slot}, not {slot}"
         )
-    fs = b.slot(slot)
+    k = _SLOT_INDEX.get(slot)
+    if k is None:
+        raise ValueError(f"unknown slot {slot!r}")
+    formulas = [b.ant1, b.suc1, b.ant2, b.suc2]
+    fs = formulas[k]
     if not 0 <= index < len(fs):
         raise OccurrenceError(f"no formula at {slot}[{index}]")
     principal = fs[index]
@@ -195,14 +204,14 @@ def apply_rule(
             f"formula at {slot}[{index}] is not a {rule.connective!r} compound"
         )
     args = principal.args
-    formulas = [b.ant1, b.suc1, b.ant2, b.suc2]
-    formulas[SLOTS.index(slot)] = fs[:index] + fs[index + 1 :]
+    formulas[k] = fs[:index] + fs[index + 1 :]
+    derive = b.derive
     out = []
     for premiss in rule.premisses:
         pf = formulas.copy()
         for k, a in premiss.moves:
             pf[k] += (args[a],)
-        out.append(b.derive(pf))
+        out.append(derive(pf))
     return out
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Atom",
@@ -192,15 +192,20 @@ Formula = Union[Atom, Constant, Compound]
 
 def atoms(f: Formula) -> frozenset[str]:
     """Names of the atoms occurring in ``f``."""
+    return frozenset(_atom_names_in((f,)))
+
+
+def _atom_names_in(fs: Iterable[Formula]) -> set[str]:
+    """Names of the atoms occurring in any of the formulas ``fs``."""
     out: set[str] = set()
-    todo = [f]
+    todo = list(fs)
     while todo:
         g = todo.pop()
-        if isinstance(g, Compound):
-            todo.extend(g.args)
-        elif isinstance(g, Atom):
-            out.add(g.name)
-    return frozenset(out)
+        if g.__class__ is Compound:
+            todo.extend(g[2:])  # its arguments
+        elif g.__class__ is Atom:
+            out.add(g[1])  # its name
+    return out
 
 
 def complexity(f: Formula) -> int:

@@ -378,4 +378,7 @@ def evaluate(logic: LogicDef, assignment: Mapping[str, Value], f: Formula) -> Va
             )
         return _CONSTANT_VALUE[f.kind]
     table = logic.table(f.connective)
-    return table(*(evaluate(logic, assignment, a) for a in f.args))
+    args = f.args
+    if len(args) == 1:
+        return table(evaluate(logic, assignment, args[0]))
+    return table(evaluate(logic, assignment, args[0]), evaluate(logic, assignment, args[1]))

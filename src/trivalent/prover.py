@@ -168,20 +168,24 @@ def _select_occurrence(
     with premisses at its slot; a compound whose rule there has none (an
     axiom) stays put, it makes the bisequent axiomatic.  ``strategy``
     sets the scan: "leftmost" reads the slots ant1, suc1, ant2, suc2 and
-    each slot front to back, "rightmost" the reverse.
+    each slot front to back, "rightmost" the reverse.  A pair the catalog
+    has answered before is read from its cache without a call.
 
     Applying α-rules before branching (β-) rules keeps a branching step
     from copying the pending one-premiss steps into each of its branches.
     Every rule is invertible, so the order cannot change a verdict."""
-    leftmost = strategy == "leftmost"
-    slots = zip(SLOTS, (b.ant1, b.suc1, b.ant2, b.suc2))
+    rules = cat._rules
     best = None
     fewest = 0
-    for slot, fs in slots if leftmost else reversed(tuple(slots)):
-        for i in range(len(fs)) if leftmost else range(len(fs) - 1, -1, -1):
+    for slot in _SCAN_SLOTS[strategy]:
+        fs = getattr(b, slot)
+        for i in range(len(fs)) if strategy == "leftmost" else range(len(fs) - 1, -1, -1):
             f = fs[i]
-            if isinstance(f, Compound):
-                rule = cat.rule_for(f.connective, slot)
+            if f.__class__ is Compound:
+                key = f[1], slot  # its connective, and the slot
+                rule = rules.get(key, _UNSEEN)
+                if rule is _UNSEEN:
+                    rule = cat.rule_for(*key)
                 if rule is None:
                     continue
                 n = len(rule.premisses)
@@ -190,6 +194,12 @@ def _select_occurrence(
                 if best is None or n < fewest:
                     best, fewest = (slot, i, rule), n
     return best
+
+
+#: the slots in each strategy's scan order
+_SCAN_SLOTS = {"leftmost": SLOTS, "rightmost": SLOTS[::-1]}
+#: marks a (connective, slot) pair that the catalog has not looked up yet
+_UNSEEN = object()
 
 
 def complete_search(
@@ -213,27 +223,38 @@ def complete_search(
     cannot change the verdict because the rules are context independent.
     A caller running many searches in one logic may pass a shared ``memo``
     dictionary to keep the sharing across calls.  Raises
-    ``EvaluationError``, as the oracle does, when ``b`` holds a constant
-    and the logic does not enable constants.
+    ``EvaluationError``, as the oracle does and with its message, when
+    ``b`` holds a connective outside the logic's signature, or a constant
+    and the logic does not enable constants.  One walk over ``b`` checks
+    both before the search starts: otherwise a clashing root would be
+    proved, and a leaf holding a connective without rules would not be
+    atomic.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    _reject_undeclared_constants(logic, b)
+    _reject_undeclared(logic, b)
     if memo is None:
         memo = {}
     return _search(logic, catalog(logic), strategy, memo if use_memo else None, b)
 
 
-def _reject_undeclared_constants(logic: LogicDef, b: Bisequent) -> None:
-    if logic.constants_enabled:
-        return
-    todo = [f for _, _, f in b.formulas()]
+def _reject_undeclared(logic: LogicDef, b: Bisequent) -> None:
+    """Raise ``EvaluationError``, with the oracle's message, at the first
+    connective outside the logic or constant the logic does not enable,
+    in the order the oracle evaluates: slot by slot, each formula before
+    its arguments, arguments left to right."""
+    signature = logic.signature
+    constants = logic.constants_enabled
+    todo = [*b.ant1, *b.suc1, *b.ant2, *b.suc2]
+    todo.reverse()
     while todo:
         f = todo.pop()
-        if isinstance(f, Constant):
+        if f.__class__ is Compound:
+            if f[1] not in signature:
+                logic.table(f[1])  # raises EvaluationError
+            todo.extend(f[:1:-1])  # the arguments, last first
+        elif f.__class__ is Constant and not constants:
             raise EvaluationError(f"constants are not enabled in logic {logic.name}")
-        if isinstance(f, Compound):
-            todo.extend(f.args)
 
 
 def _last_leaf(tree: ProofTree) -> ProofTree:
@@ -243,6 +264,8 @@ def _last_leaf(tree: ProofTree) -> ProofTree:
         tree = tree[-1]
     return tree
 
+
+_tuple_new = tuple.__new__
 
 #: one shared ``(slot, index)`` tuple per occurrence, so that the nodes
 #: decomposed at equal occurrences do not each keep their own pair
@@ -260,21 +283,24 @@ def _search(
     # reference cycle keeps the memo alive after the search returns
     if memo is not None and (tree := memo.get(node)) is not None:
         return tree
+    # nodes are built as ``tuple.__new__(ProofTree, fields)``, which is what
+    # ``ProofTree(...)`` does, without the call to ``ProofTree.__new__``
     if is_axiomatic(logic, node):
-        tree = ProofTree(node, None, None, (), "axiomatic")
+        tree = _tuple_new(ProofTree, (node, None, None, "axiomatic"))
     elif (picked := _select_occurrence(cat, node, strategy)) is None:
-        tree = ProofTree(node, None, None, (), "open")
+        tree = _tuple_new(ProofTree, (node, None, None, "open"))
     else:
         slot, index, rule = picked
         occurrence = (slot, index)
         occurrence = _OCCURRENCES.setdefault(occurrence, occurrence)
-        children = []
+        fields = [node, rule.name, occurrence, None]
         for premiss in apply_rule(rule, node, occurrence):
             child = _search(logic, cat, strategy, memo, premiss)
-            children.append(child)
+            fields.append(child)
             if child[3] == "open":
                 break
-        tree = ProofTree(node, rule.name, occurrence, children, child[3])
+        fields[3] = child[3]
+        tree = _tuple_new(ProofTree, fields)
     if memo is not None:
         memo[node] = tree
     return tree
@@ -325,7 +351,8 @@ def prove_bisequent(
     """Decision procedure on a root bisequent: proved iff the search
     closes every branch, otherwise refuted with an assignment read off the
     first open leaf (atoms absent from that branch get u).  Raises
-    ``EvaluationError`` as ``complete_search`` does."""
+    ``EvaluationError`` as ``complete_search`` does, for a connective
+    outside the logic as well as for a constant it does not enable."""
     tree = complete_search(logic, root, strategy, memo=memo)
     if tree.leaf_status == "axiomatic":
         return Proved(tree)

@@ -9,7 +9,7 @@ value.  A connective's 1 and 0 masks are unions, over the cells of its
 truth table that give that value, of intersections of its arguments'
 masks; its u mask is what remains.  ``falsifying_assignments``,
 ``bisequent_valid`` and ``matrix_consequence`` all reduce to one such
-evaluation of ``(slot, formula)`` pairs, which evaluates every formula:
+evaluation of ``(slot, formulas)`` pairs, which evaluates every formula:
 a constant in a logic without constants raises ``EvaluationError``
 whatever the other formulas evaluate to.
 
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bisequent import Bisequent
-from .formula import Atom, Constant, Formula, InputError, atoms
+from .formula import Atom, Constant, Formula, InputError, _atom_names_in
 from .logics import VALUES, LogicDef, Value, evaluate, slot_admits, tables
 
 __all__ = [
@@ -90,18 +90,22 @@ def falsifies(logic: LogicDef, assignment: Mapping[str, Value], b: Bisequent) ->
 # Mask evaluation
 
 @lru_cache(maxsize=None)
-def _cells(connective: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The argument cells of a table that give 1, then those that give 0,
-    each cell as indices into ``VALUES``."""
-    entries = tables()[connective].entries
-    return tuple(
-        tuple(
-            tuple(VALUES.index(a) for a in args)
-            for args, out in entries.items()
-            if out is value
+def _logic_cells(logic: LogicDef) -> dict[str, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """For each connective in the logic's signature, and no other, the
+    argument cells of its table that give 1, then those that give 0, each
+    cell as indices into ``VALUES``."""
+    cells = {}
+    for cid in logic.connectives:
+        entries = tables()[cid].entries
+        cells[cid] = tuple(
+            tuple(
+                tuple(VALUES.index(a) for a in args)
+                for args, result in entries.items()
+                if result is value
+            )
+            for value in (Value.ONE, Value.ZERO)
         )
-        for value in (Value.ONE, Value.ZERO)
-    )
+    return cells
 
 
 @lru_cache(maxsize=None)
@@ -111,46 +115,52 @@ def _admitted(slot: str) -> tuple[int, ...]:
 
 
 def _masks(
-    logic: LogicDef, f: Formula, atom_masks: Mapping[str, tuple[int, ...]], full: int
+    logic: LogicDef,
+    cells: Mapping[str, tuple[tuple[tuple[int, ...], ...], ...]],
+    f: Formula,
+    atom_masks: Mapping[str, tuple[int, ...]],
+    full: int,
 ) -> tuple[int, ...]:
-    """The assignments where ``f`` takes each value, indexed like ``VALUES``.
-    Only the 1 and 0 masks are unions of table cells; the u mask is the
-    rest of ``full``."""
-    if isinstance(f, Atom):
-        return atom_masks[f.name]
-    if isinstance(f, Constant):
+    """The assignments where ``f`` takes each value, indexed like ``VALUES``;
+    ``cells`` is ``_logic_cells(logic)``.  The 1 and 0 masks are unions,
+    over the table cells giving that value, of intersections of the
+    arguments' masks; the u mask is the rest of ``full``."""
+    if f.__class__ is Atom:
+        return atom_masks[f[1]]
+    if f.__class__ is Constant:
         v = evaluate(logic, {}, f)  # rejects constants the logic lacks
         return tuple(full if w is v else 0 for w in VALUES)
-    table = logic.table(f.connective)  # rejects connectives the logic lacks
-    args = [_masks(logic, a, atom_masks, full) for a in f.args]
-    one_cells, zero_cells = _cells(table.name)
-    one, zero = _union(one_cells, args), _union(zero_cells, args)
+    try:
+        one_cells, zero_cells = cells[f[1]]
+    except KeyError:
+        logic.table(f[1])  # not in the signature: raises EvaluationError
+        raise
+    one = zero = 0
+    if len(f) == 3:  # unary: ("2comp", connective, arg)
+        x = _masks(logic, cells, f[2], atom_masks, full)
+        for (i,) in one_cells:
+            one |= x[i]
+        for (i,) in zero_cells:
+            zero |= x[i]
+    else:
+        x = _masks(logic, cells, f[2], atom_masks, full)
+        y = _masks(logic, cells, f[3], atom_masks, full)
+        for i, j in one_cells:
+            one |= x[i] & y[j]
+        for i, j in zero_cells:
+            zero |= x[i] & y[j]
     return zero, full ^ (one | zero), one
 
 
-def _union(cells, args) -> int:
-    """The assignments where the arguments take the values of some cell."""
-    out = 0
-    if len(args) == 1:
-        (x,) = args
-        for (i,) in cells:
-            out |= x[i]
-    else:
-        x, y = args
-        for i, j in cells:
-            out |= x[i] & y[j]
-    return out
-
-
 def _falsifying_mask(
-    logic: LogicDef, items: Iterable[tuple[str, Formula]], max_atoms: int
+    logic: LogicDef,
+    slots: Sequence[tuple[str, Sequence[Formula]]],
+    max_atoms: int,
 ) -> tuple[list[str], int]:
     """The sorted atom names and the mask of the assignments over them that
-    give every ``(slot, formula)`` pair a value its slot admits."""
-    items = tuple(items)
-    names = _atom_names(
-        itertools.chain.from_iterable(atoms(f) for _, f in items), max_atoms
-    )
+    give every formula of each ``(slot, formulas)`` pair a value its slot
+    admits."""
+    names = _atom_names(_atom_names_in([f for _, fs in slots for f in fs]), max_atoms)
     run = 3 ** len(names)
     full = (1 << run) - 1
     # atom k takes each value on runs of 3^(n-1-k) consecutive assignments;
@@ -162,13 +172,16 @@ def _falsifying_mask(
         zero = (rep << run) - rep  # a block of ``run`` ones at each bit of rep
         atom_masks[name] = (zero, zero << run, zero << 2 * run)
         rep |= (rep << run) | (rep << 2 * run)
+    cells = _logic_cells(logic)
     out = full
-    for slot, f in items:
-        masks = _masks(logic, f, atom_masks, full)
-        admitted = 0
-        for k in _admitted(slot):
-            admitted |= masks[k]
-        out &= admitted
+    for slot, fs in slots:
+        admits = _admitted(slot)
+        for f in fs:
+            masks = _masks(logic, cells, f, atom_masks, full)
+            admitted = 0
+            for k in admits:
+                admitted |= masks[k]
+            out &= admitted
     return names, out
 
 
@@ -176,15 +189,15 @@ def _falsifying_mask(
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _slot_items(b: Bisequent) -> Iterator[tuple[str, Formula]]:
-    return ((slot, f) for slot, _, f in b.formulas())
+def _slot_formulas(b: Bisequent) -> tuple[tuple[str, tuple[Formula, ...]], ...]:
+    return ("ant1", b.ant1), ("suc1", b.suc1), ("ant2", b.ant2), ("suc2", b.suc2)
 
 
 def falsifying_assignments(
     logic: LogicDef, b: Bisequent, max_atoms: int = DEFAULT_ATOM_CAP
 ) -> list[dict[str, Value]]:
     """Every assignment that falsifies ``b``, in ``assignments_over`` order."""
-    names, mask = _falsifying_mask(logic, _slot_items(b), max_atoms)
+    names, mask = _falsifying_mask(logic, _slot_formulas(b), max_atoms)
     if not mask:
         return []
     split = len(names) // 2
@@ -213,7 +226,7 @@ def falsifying_assignments(
 def bisequent_valid(
     logic: LogicDef, b: Bisequent, max_atoms: int = DEFAULT_ATOM_CAP
 ) -> bool:
-    return not _falsifying_mask(logic, _slot_items(b), max_atoms)[1]
+    return not _falsifying_mask(logic, _slot_formulas(b), max_atoms)[1]
 
 
 def matrix_consequence(
@@ -227,6 +240,5 @@ def matrix_consequence(
     validity of ``premisses => conclusion | =>``, for two with validity of
     ``=> | premisses => conclusion``."""
     ant, suc = logic.goal_slots
-    items = [(ant, p) for p in premisses]
-    items.append((suc, conclusion))
-    return not _falsifying_mask(logic, items, max_atoms)[1]
+    slots = ((ant, tuple(premisses)), (suc, (conclusion,)))
+    return not _falsifying_mask(logic, slots, max_atoms)[1]

@@ -75,6 +75,15 @@ def random_formula(rng: random.Random, signature, atom_names, n_connectives: int
     )
 
 
+def with_constants(rng: random.Random, f):
+    """``f`` with about a quarter of its atom leaves replaced by constants."""
+    if isinstance(f, Atom):
+        return Constant(rng.choice(("top", "bottom", "undef"))) if rng.random() < 0.25 else f
+    if isinstance(f, Compound):
+        return Compound(f.connective, tuple(with_constants(rng, a) for a in f.args))
+    return f
+
+
 @dataclass
 class LogicSweep:
     logic: object

@@ -28,7 +28,7 @@ from trivalent.logics import lookup_logic
 from trivalent.prover import complete_search, prove_bisequent
 from trivalent.semantics import bisequent_valid, falsifies
 
-from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula
+from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula, with_constants
 import structural
 from structural import add
 
@@ -190,15 +190,6 @@ class TestTextFormat:
         )
 
 
-def _with_constants(rng, f):
-    """``f`` with about a quarter of its atom leaves replaced by constants."""
-    if isinstance(f, Atom):
-        return Constant(rng.choice(("top", "bottom", "undef"))) if rng.random() < 0.25 else f
-    if isinstance(f, Compound):
-        return Compound(f.connective, tuple(_with_constants(rng, a) for a in f.args))
-    return f
-
-
 def _reference_axiomatic(logic, b):
     """``is_axiomatic`` spelled out on sets of formulas."""
     ant1, suc1, ant2, suc2 = (set(fs) for fs in (b.ant1, b.suc1, b.ant2, b.suc2))
@@ -240,7 +231,7 @@ def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatc
             for _ in range(2)
         ]
         if constants:
-            sides = [_with_constants(rng, f) for f in sides]
+            sides = [with_constants(rng, f) for f in sides]
         slots = rng.sample(("ant1", "suc1", "ant2", "suc2"), 2)
         structural.complete_tree(logic, bisequent(**dict(zip(slots, [[f] for f in sides]))))
     assert len(premisses) > 50

@@ -11,10 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trivalent.bisequent import bisequent, is_atomic, parse_bisequent
-from trivalent.calculus import RuleVerdict, apply_rule, catalog, verify_rule_schema
+from trivalent.calculus import (
+    RuleVerdict,
+    _synthesized,
+    apply_rule,
+    catalog,
+    verify_rule_schema,
+)
 from trivalent.formula import Atom, Compound, complexity, iter_formulas
 from trivalent.interpolation import LeafAtoms
-from trivalent.logics import SLOTS, Value, lookup_logic, tables
+from trivalent.logics import SLOTS, EvaluationError, Value, lookup_logic, tables
 from trivalent.prover import (
     LeafError,
     ModeMismatchError,
@@ -29,7 +35,12 @@ from trivalent.prover import (
     prove,
     prove_bisequent,
 )
-from trivalent.semantics import bisequent_valid, falsifies, matrix_consequence
+from trivalent.semantics import (
+    _logic_cells,
+    bisequent_valid,
+    falsifies,
+    matrix_consequence,
+)
 
 from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula, run_sweep
 from structural import (
@@ -387,11 +398,73 @@ class TestProve:
         with pytest.raises(EvaluationError, match="constants are not enabled"):
             complete_search(K3, bp(goal))
 
+    @pytest.mark.parametrize("logic", (K3, K3.with_constants()), ids=("K3", "K3+c"))
+    @pytest.mark.parametrize(
+        "premiss, conclusion, named",
+        (
+            ("neg_h p", "neg_h p", "neg_h"),
+            (None, "neg_h p", "neg_h"),
+            ("p & box p", "neg_h p", "box"),
+        ),
+        ids=("clashing", "open", "first-in-evaluation-order"),
+    )
+    def test_connectives_outside_the_logic_are_rejected_like_the_oracle(
+        self, logic, premiss, conclusion, named
+    ):
+        # otherwise the clashing goal's root is axiomatic (proved), and the
+        # open goals' leaves keep a compound they cannot decompose (LeafError)
+        wide = logic.extended(("neg_h", "box"))
+        premisses = () if premiss is None else (wide.parse(premiss),)
+        conclusion = wide.parse(conclusion)
+        with pytest.raises(EvaluationError) as oracle_error:
+            matrix_consequence(logic, premisses, conclusion)
+        with pytest.raises(EvaluationError) as prover_error:
+            prove(logic, "designated_1", premisses, conclusion)
+        message = f"connective {named!r} is not in logic {logic.name}"
+        assert str(prover_error.value) == str(oracle_error.value) == message
+
     def test_branch_local_atoms_default_to_undefined(self):
         # the first open branch never sees q; it is filled in as u
         result = prove(K3, "designated_1", (), K3.parse("p & q"))
         assert isinstance(result, Refuted)
         assert result.countermodel == {"p": ZERO, "q": UNDEF}
+
+
+@pytest.mark.parametrize("first", ("G3", "K3"))
+def test_caches_never_widen_a_logic(first):
+    """The per-connective rules and table cells are shared between logics,
+    and the per-logic catalog and oracle cells are built lazily.  However
+    G3's calls for neg_h and K3's are ordered, K3 keeps rejecting neg_h,
+    which K3.extended(("neg_h",)) accepts."""
+    for cache in (_logic_cells, _synthesized, catalog):
+        cache.cache_clear()
+    g3 = lookup_logic("G3")
+    neg_h_p = Compound("neg_h", (Atom("p"),))
+    goals = (((neg_h_p,), neg_h_p), ((), neg_h_p))
+
+    def g3_decides():
+        for premisses, conclusion in goals:
+            holds = matrix_consequence(g3, premisses, conclusion)
+            assert prove(g3, "designated_1", premisses, conclusion).proved == holds
+
+    def k3_rejects():
+        for premisses, conclusion in goals:
+            with pytest.raises(EvaluationError, match="connective 'neg_h' is not in logic K3"):
+                matrix_consequence(K3, premisses, conclusion)
+            with pytest.raises(EvaluationError, match="connective 'neg_h' is not in logic K3"):
+                prove(K3, "designated_1", premisses, conclusion)
+
+    if first == "G3":
+        g3_decides()
+        k3_rejects()
+    else:
+        k3_rejects()
+        g3_decides()
+        k3_rejects()
+    assert catalog(g3).rule_for("neg_h", "suc1") is not None
+    wide = K3.extended(("neg_h",))
+    verdicts = [prove(wide, "designated_1", *goal).proved for goal in goals]
+    assert verdicts == [matrix_consequence(wide, *goal) for goal in goals] == [True, False]
 
 
 class TestCountermodelFromLeaf:

@@ -30,7 +30,7 @@ def test_fingerprint_is_reproducible():
     for done in runs:
         assert done.returncode == 0, done.stdout + done.stderr
     lines = runs[0].stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["proofs", "interpolants", "memos"]
+    assert [line.split()[0] for line in lines] == ["proofs", "interpolants", "memos", "oracle"]
     assert runs[0].stdout == runs[1].stdout
 
 
