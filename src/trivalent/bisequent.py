@@ -13,13 +13,18 @@ shifted to its offset in the whole text.
 A formula is a tuple (see ``formula``), so it is its own canonical key:
 a bisequent's key is each slot's formulas sorted, and the axiom test
 compares sets of formulas.  Sorting, comparing and hashing all run in C.
-The record stores only the four insertion-order slots; the key is
-computed from them whenever the bisequent is hashed or compared.
-A bisequent built from formulas (``bisequent()``, ``Bisequent(...)``,
-the parser) takes any iterable per slot, stores it as a tuple and checks
-that it holds formulas; a premiss (``Bisequent.derive``) skips both, and
-``calculus.apply_rule`` hands it its parent's tuple for every slot the
-rule leaves alone.
+The record stores the four insertion-order slots and one multiset hash;
+the key is computed from the slots whenever two bisequents with equal
+hashes are compared.  The hash is a sum of one term per formula
+occurrence, the formula's hash times its slot's weight, modulo the
+Mersenne prime 2**61 - 1, so it ignores order within a slot and counts
+duplicates.  A bisequent built from formulas (``bisequent()``,
+``Bisequent(...)``, the parser) takes any iterable per slot, stores it
+as a tuple, checks that it holds formulas and sums its hash; a premiss
+(``Bisequent.derive``) skips all three, and ``calculus.apply_rule``
+hands it its parent's tuple for every slot the rule leaves alone and
+its parent's hash with the principal's term taken out and the placed
+arguments' terms added.
 
 A proof goal ``premisses |- conclusion`` becomes its root bisequent here
 too (``goal_bisequent``), placed by ``logics.GOAL_SLOTS``, so that the
@@ -60,12 +65,22 @@ __all__ = [
 ]
 
 
+#: the modulus of a bisequent's multiset hash: the Mersenne prime by
+#: which CPython reduces an int's hash, so the stored hash is its own hash
+HASH_MODULUS = (1 << 61) - 1
+#: each slot's weight in the multiset hash, in slot order: a formula
+#: occurrence adds its own hash times its slot's weight
+HASH_WEIGHTS = (0x0F1BBCDCBFA53E0B, 0x1B873593A3C6EF35, 0x0D2A98B1C0E6F4A5, 0x165667B19E3779F9)
+
+
 class Bisequent(Record):
     """``ant1 => suc1 | ant2 => suc2``: one formula tuple per slot, in
-    insertion order.  Equality and hashing go through each slot's
-    formulas sorted."""
+    insertion order, and the multiset hash of the four slots, stored
+    beside them.  Equality goes through each slot's formulas sorted,
+    after the stored hashes."""
 
-    __slots__ = _fields = SLOTS
+    _fields = SLOTS
+    __slots__ = (*SLOTS, "_hash")
 
     def __init__(
         self,
@@ -74,13 +89,16 @@ class Bisequent(Record):
         ant2: Iterable[Formula] = (),
         suc2: Iterable[Formula] = (),
     ) -> None:
-        for name, fs in zip(SLOTS, (ant1, suc1, ant2, suc2)):
+        h = 0
+        for name, weight, fs in zip(SLOTS, HASH_WEIGHTS, (ant1, suc1, ant2, suc2)):
             fs = tuple(fs)  # a list would be shared, and extended, by the premisses
             # a formula is a tuple too, so a bare formula given as a slot
             # would otherwise pass for a slot holding its tag and fields
             if not all(isinstance(f, (Atom, Constant, Compound)) for f in fs):
                 raise TypeError("a bisequent slot must be a sequence of formulas")
             _set(self, name, fs)
+            h += sum(map(hash, fs)) * weight
+        _set(self, "_hash", h % HASH_MODULUS)
 
     @property
     def _key(self) -> tuple[tuple[Formula, ...], ...]:
@@ -97,10 +115,10 @@ class Bisequent(Record):
     def __eq__(self, other) -> bool:
         if other.__class__ is not Bisequent:
             return NotImplemented
-        return self._key == other._key
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def slot(self, slot: str) -> tuple[Formula, ...]:
         if slot not in SLOTS:
@@ -110,14 +128,18 @@ class Bisequent(Record):
     def slots(self) -> dict[str, tuple[Formula, ...]]:
         return {s: getattr(self, s) for s in SLOTS}
 
-    def derive(self, formulas: Sequence[tuple]) -> "Bisequent":
-        """A premiss from four formula tuples in slot order, unchecked."""
+    def derive(self, formulas: Sequence[tuple], hash_value: int) -> "Bisequent":
+        """A premiss from four formula tuples in slot order and its
+        multiset hash, both unchecked: ``hash_value`` must be the one
+        ``Bisequent(*formulas)`` would sum, which ``calculus.apply_rule``
+        gets from the parent's hash."""
         ant1, suc1, ant2, suc2 = formulas
         b = object.__new__(Bisequent)
         _set_ant1(b, ant1)
         _set_suc1(b, suc1)
         _set_ant2(b, ant2)
         _set_suc2(b, suc2)
+        _set_hash(b, hash_value)
         return b
 
     def formulas(self) -> Iterator[tuple[str, int, Formula]]:
@@ -126,8 +148,11 @@ class Bisequent(Record):
                 yield s, i, f
 
 
-#: each slot's own setter, which ``derive`` calls without a name lookup
-_set_ant1, _set_suc1, _set_ant2, _set_suc2 = (Bisequent.__dict__[s].__set__ for s in SLOTS)
+#: each slot's own setter and the hash's, which ``derive`` calls without
+#: a name lookup
+_set_ant1, _set_suc1, _set_ant2, _set_suc2, _set_hash = (
+    Bisequent.__dict__[s].__set__ for s in Bisequent.__slots__
+)
 
 
 def bisequent(

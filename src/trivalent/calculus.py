@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .bisequent import Bisequent
+from .bisequent import HASH_MODULUS, HASH_WEIGHTS, Bisequent
 from .formula import CONNECTIVES, Compound, InputError
 from .logics import (
     SLOTS,
@@ -184,7 +184,10 @@ def apply_rule(
     is removed, each placement appends its immediate subformula to its
     slot in placement order, contexts are copied unchanged.  Each premiss
     is built unchecked by ``Bisequent.derive`` and keeps the parent's own
-    tuple in every slot the premiss does not change."""
+    tuple in every slot the premiss does not change.  Its multiset hash
+    is the parent's, less the principal's term and plus one term per
+    placement (the argument's hash times its slot's weight), so no
+    formula of the context is hashed again."""
     slot, index = occurrence
     if slot != rule.principal_slot:
         raise OccurrenceError(
@@ -205,13 +208,17 @@ def apply_rule(
         )
     args = principal.args
     formulas[k] = fs[:index] + fs[index + 1 :]
+    h = b._hash - hash(principal) * HASH_WEIGHTS[k]
     derive = b.derive
     out = []
     for premiss in rule.premisses:
         pf = formulas.copy()
+        ph = h
         for k, a in premiss.moves:
-            pf[k] += (args[a],)
-        out.append(derive(pf))
+            arg = args[a]
+            pf[k] += (arg,)
+            ph += hash(arg) * HASH_WEIGHTS[k]
+        out.append(derive(pf, ph % HASH_MODULUS))
     return out
 
 

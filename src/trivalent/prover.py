@@ -307,35 +307,31 @@ def _search(
 
 
 def countermodel_from_leaf(leaf: Bisequent) -> dict[str, Value]:
-    """Falsifying assignment for an atomic, nonaxiomatic leaf.
+    """Falsifying assignment for an atomic, nonaxiomatic leaf, keyed by
+    the leaf's atoms.
 
-    Priority: ant1 atoms get 1 and suc2 atoms 0 (forced); atoms only in
-    both suc1 and ant2 get u; atoms only in suc1 get 0, only in ant2 get
-    1; anything else u.  Nonaxiomaticity rules out every clash, so the
-    result meets all four slot constraints.
+    Priority: ant1 atoms get 1 and suc2 atoms 0 (forced); atoms in both
+    suc1 and ant2 get u; atoms only in suc1 get 0, only in ant2 get 1.
+    Nonaxiomaticity rules out every clash, so the result meets all four
+    slot constraints.
     """
     if not is_atomic(leaf):
         raise LeafError("leaf is not atomic")
-    ant1, suc1, ant2, suc2 = map(set, leaf.slots().values())
-    if clashes(ant1, suc1, ant2, suc2):
+    ant1, suc1, ant2, suc2 = leaf.ant1, leaf.suc1, leaf.ant2, leaf.suc2
+    if clashes(set(ant1), suc1, ant2, set(suc2)):
         raise LeafError("leaf is axiomatic")
-
-    def names(fs: set) -> set[str]:
-        return {f.name for f in fs if isinstance(f, Atom)}
-
-    n_ant1, n_suc1, n_ant2, n_suc2 = names(ant1), names(suc1), names(ant2), names(suc2)
-    assignment: dict[str, Value] = {}
-    for a in sorted(n_ant1 | n_suc1 | n_ant2 | n_suc2):
-        if a in n_ant1:
-            assignment[a] = Value.ONE
-        elif a in n_suc2:
-            assignment[a] = Value.ZERO
-        elif a in n_suc1 and a in n_ant2:
-            assignment[a] = Value.UNDEF
-        elif a in n_suc1:
-            assignment[a] = Value.ZERO
-        else:
-            assignment[a] = Value.ONE
+    # lowest priority first: each later slot overwrites the ones before
+    in_ant2 = {f[1] for f in ant2 if f.__class__ is Atom}  # f[1]: its name
+    assignment = dict.fromkeys(in_ant2, Value.ONE)
+    for f in suc1:
+        if f.__class__ is Atom:
+            assignment[f[1]] = Value.UNDEF if f[1] in in_ant2 else Value.ZERO
+    for f in suc2:
+        if f.__class__ is Atom:
+            assignment[f[1]] = Value.ZERO
+    for f in ant1:
+        if f.__class__ is Atom:
+            assignment[f[1]] = Value.ONE
     return assignment
 
 
@@ -356,10 +352,11 @@ def prove_bisequent(
     tree = complete_search(logic, root, strategy, memo=memo)
     if tree.leaf_status == "axiomatic":
         return Proved(tree)
-    assignment = countermodel_from_leaf(_last_leaf(tree).node)
-    for name in sorted(bisequent_atoms(root)):
-        assignment.setdefault(name, Value.UNDEF)
-    return Refuted(tree, dict(sorted(assignment.items())))
+    # every rule has the subformula property, so the leaf's atoms are
+    # among the root's
+    get = countermodel_from_leaf(_last_leaf(tree).node).get
+    countermodel = {name: get(name, Value.UNDEF) for name in sorted(bisequent_atoms(root))}
+    return Refuted(tree, countermodel)
 
 
 def prove(

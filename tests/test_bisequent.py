@@ -207,15 +207,20 @@ def _reference_axiomatic(logic, b):
     )
 
 
-@pytest.mark.parametrize("constants", (False, True), ids=("plain", "constants"))
+@pytest.mark.parametrize("form", ("plain", "constants", "extended"))
 @pytest.mark.parametrize("name", ALL_LOGICS)
-def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatch):
+def test_premisses_inherit_the_keys_of_a_fresh_build(name, form, monkeypatch):
     """Every premiss a complete search gets from ``apply_rule`` carries the
     canonical key and hash that building it from its formulas gives, and
-    its axiom test agrees with a reference test on formula sets."""
+    its axiom test agrees with a reference test on formula sets.  The
+    extended form adds the Bochvar and Heyting negations, whose rules can
+    move their argument into a slot of the other sequent."""
     logic = lookup_logic(name)
+    constants = form == "constants"
     if constants:
         logic = logic.with_constants()
+    elif form == "extended":
+        logic = logic.extended(("neg_b", "neg_h"))
     premisses = []
 
     def recording(rule, b, occurrence):
@@ -224,7 +229,8 @@ def test_premisses_inherit_the_keys_of_a_fresh_build(name, constants, monkeypatc
         return out
 
     monkeypatch.setattr(structural, "apply_rule", recording)
-    rng = random.Random(f"keys:{name}:{constants}")
+    seed = form if form == "extended" else constants  # the seeds of the first two forms
+    rng = random.Random(f"keys:{name}:{seed}")
     for _ in range(20):
         sides = [
             random_formula(rng, logic.signature, ("p", "q", "r"), rng.randint(1, 5))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trivalent.bisequent import bisequent, is_atomic, parse_bisequent
+from trivalent.bisequent import bisequent, bisequent_atoms, is_atomic, parse_bisequent
 from trivalent.calculus import (
     RuleVerdict,
     _synthesized,
@@ -42,7 +42,14 @@ from trivalent.semantics import (
     matrix_consequence,
 )
 
-from conftest import ALL_LOGICS, CORE_LOGICS, formulas, random_formula, run_sweep
+from conftest import (
+    ALL_LOGICS,
+    CORE_LOGICS,
+    formulas,
+    random_formula,
+    run_sweep,
+    with_constants,
+)
 from structural import (
     CutShapeError,
     add,
@@ -209,6 +216,13 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
     rule = catalog(K3).rule_for("or", "suc1")
     axiom = catalog(lookup_logic("Palasinska1")).rules[-1]
     assert not axiom.premisses
+    # premisses carry a hash derived from their parent's, and a copy sums
+    # its own from the four slots: one step moves s from ant1 to suc2
+    root = bp("p & (q | r), ~s => s | ~~t => t, p")
+    (premiss,) = apply_rule(catalog(K3).rule_for("and", "ant1"), root, ("ant1", 0))
+    (moved,) = apply_rule(catalog(K3).rule_for("neg", "ant1"), premiss, ("ant1", 0))
+    split = apply_rule(catalog(K3).rule_for("or", "ant1"), moved, ("ant1", 1))
+    assert moved.suc2 == (*root.suc2, Atom("s")) and len(split) == 2
     records = [
         (K3, ("name", "connectives", "designated", "constants_enabled"), True),
         (k3c, ("name", "connectives", "designated", "constants_enabled"), True),
@@ -221,6 +235,7 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
         (RuleVerdict(False, (Value.ONE, Value.UNDEF)), ("ok", "counterexample"), True),
         (LeafAtoms(frozenset("p"), frozenset(), frozenset("pq"), frozenset("r")), SLOTS, True),
         (bp("p & q => q | r => ~p"), SLOTS, True),
+        *((b, SLOTS, True) for b in (premiss, moved, *split)),
         (proved, ("tree",), True),
         (refuted, ("tree", "countermodel"), False),
     ]
@@ -245,9 +260,10 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
 def test_memo_costs_under_340_traced_bytes_per_entry():
     """One memo per logic over ``run_sweep``'s goal shapes in K3 and L3,
     with conclusions of up to 2 connectives: each entry keeps a bisequent
-    (its four slot tuples; the key is computed when hashed) and a flat
-    proof node.  With the results dropped, the memos and their roots are
-    all that stays traced."""
+    (its four slot tuples and its stored multiset hash, an int below
+    2**61; the sorted key is computed only when equal hashes meet) and a
+    flat proof node.  With the results dropped, the memos and their roots
+    are all that stays traced."""
     goals = []
     for name in ("K3", "L3"):
         logic = lookup_logic(name)
@@ -496,6 +512,37 @@ class TestCountermodelFromLeaf:
         for leaf in tree.open_leaves():
             h = countermodel_from_leaf(leaf.node)
             assert falsifies(K3, h, leaf.node)
+
+
+@pytest.mark.parametrize("constants", (False, True), ids=("plain", "constants"))
+@pytest.mark.parametrize("name", ALL_LOGICS)
+def test_a_refutation_assigns_exactly_the_roots_atoms(name, constants):
+    """Over seeded goals, every refutation's countermodel has the root's
+    atoms as its keys, in sorted order, gives u to each atom that the open
+    leaf lacks, and falsifies the root."""
+    logic = lookup_logic(name)
+    if constants:
+        logic = logic.with_constants()
+    rng = random.Random(f"refutations:{name}:{constants}")
+    refuted = absent = 0
+    for _ in range(40):
+        sides = [random_formula(rng, logic.signature, "pqrs", rng.randint(0, 5)) for _ in range(2)]
+        if constants:
+            sides = [with_constants(rng, f) for f in sides]
+        root = goal_bisequent(logic, designated_mode(logic), sides[:1], sides[1])
+        result = prove_bisequent(logic, root)
+        if result.proved:
+            continue
+        refuted += 1
+        (leaf,) = result.tree.open_leaves()
+        on_leaf = bisequent_atoms(leaf.node)
+        assert list(result.countermodel) == sorted(bisequent_atoms(root))
+        for atom, value in result.countermodel.items():
+            if atom not in on_leaf:
+                absent += 1
+                assert value is UNDEF, atom
+        assert falsifies(logic, result.countermodel, root)
+    assert refuted >= 10 and absent > 0, (refuted, absent)
 
 
 @pytest.mark.parametrize("name", CORE_LOGICS)
