@@ -121,32 +121,30 @@ class RuleVerdict(Record):
 # ---------------------------------------------------------------------------
 # Catalog
 
-class Catalog:
-    """A logic's rules.  Each rule is synthesised from its table on first
-    lookup and shared by every logic using the table."""
+class Catalog(dict):
+    """A logic's rules, as the mapping from ``(connective, slot)`` to the
+    rule that decomposes a ``connective`` formula in ``slot``, or None when
+    there is none to apply: the connective is not in the logic, or its rule
+    has no premisses (an axiom, which the axiom test ``is_axiomatic``
+    applies instead).  A pair is answered on first lookup, from a rule
+    synthesised from its table and shared by every logic using the table."""
 
     def __init__(self, logic: LogicDef) -> None:
         self.logic = logic
-        #: ``rule_for``'s answers by ``(connective, slot)``, filled on first
-        #: lookup; the prover's occurrence scan reads it directly
-        self._rules: dict[tuple[str, str], RuleSchema | None] = {}
 
-    def rule_for(self, connective: str, slot: str) -> RuleSchema | None:
-        """The rule that decomposes a ``connective`` formula in ``slot``,
-        or None when there is none to apply: the connective is not in the
-        logic, or its rule has no premisses (an axiom, which the axiom
-        test ``is_axiomatic`` applies instead)."""
-        try:
-            return self._rules[connective, slot]
-        except KeyError:
-            pass
+    def __missing__(self, key: tuple[str, str]) -> RuleSchema | None:
+        connective, slot = key
         rule = None
         if connective in self.logic.signature:
             rule = _synthesized(connective, slot)
             if not rule.premisses:
                 rule = None
-        self._rules[connective, slot] = rule
+        self[key] = rule
         return rule
+
+    def rule_for(self, connective: str, slot: str) -> RuleSchema | None:
+        """``self[connective, slot]``."""
+        return self[connective, slot]
 
     @property
     def rules(self) -> tuple[RuleSchema, ...]:

@@ -359,11 +359,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_list_logics)
 
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise ValueError(text)  # argparse reports an invalid count value
+        return n
+
     # only the commands that run the exhaustive oracle on their input
     for command in ("check-semantic", "countermodel", "interpolate"):
         sub.choices[command].add_argument(
             "--max-atoms",
-            type=int,
+            type=count,
             default=semantics.DEFAULT_ATOM_CAP,
             help="cap on distinct atoms for exhaustive semantic checks",
         )

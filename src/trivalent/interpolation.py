@@ -92,7 +92,7 @@ def _open_leaf_atoms(logic: LogicDef, root: Bisequent) -> list[LeafAtoms]:
         seen.add(node)
         if is_axiomatic(logic, node):
             continue
-        if (picked := _select_occurrence(cat, node, "leftmost")) is not None:
+        if (picked := _select_occurrence(cat, node)) is not None:
             slot, index, rule = picked
             # reversed, so that the first premiss is walked first
             todo.extend(reversed(apply_rule(rule, node, (slot, index))))

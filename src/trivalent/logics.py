@@ -9,10 +9,10 @@ from __future__ import annotations
 import enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import formula as fm
-from .formula import Atom, Constant, Formula, InputError
+from .formula import Atom, Compound, Constant, Formula, InputError
 from .record import Record, _set
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "EvaluationError",
     "CatalogFileError",
     "available_logics",
+    "check_formulas",
     "evaluate",
     "load_logics",
     "load_tables",
@@ -193,6 +194,12 @@ class LogicDef(Record):
             )
         return tables()[connective]
 
+    def constant(self, kind: str) -> Value:
+        """The value of the constant ``kind``, if the logic enables constants."""
+        if not self.constants_enabled:
+            raise EvaluationError(f"constants are not enabled in logic {self.name}")
+        return _CONSTANT_VALUE[kind]
+
     def parse(self, text: str) -> Formula:
         return fm.parse_formula(text, self.signature)
 
@@ -223,19 +230,65 @@ class LogicDef(Record):
 # ---------------------------------------------------------------------------
 # Catalog file loading
 
+def _blocks(
+    path: Path, header: str
+) -> Iterator[tuple[str, list[str], list[tuple[str, list[str]]]]]:
+    """The blocks of a catalog file in file order, each a line whose first
+    word is ``header`` with the lines after it up to the next such line.
+    A line comes as its place, ``file:number``, and its words; comments
+    (from ``#``) and blank lines are skipped.  A line before the first
+    header is reported when it is read."""
+    block = None
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        place = f"{path.name}:{lineno}"
+        if words[0] == header:
+            if block is not None:
+                yield block
+            block = place, words, []
+        elif block is None:
+            raise CatalogFileError(f"{place}: unrecognised line")
+        else:
+            block[2].append((place, words))
+    if block is not None:
+        yield block
+
+
 def load_tables(path: Path) -> dict[str, TruthTable]:
     """Parse a truth-table catalog file; every table must be a connective
     of ``formula.CONNECTIVES`` with the arity declared there, and neither
     a table nor a row of one may be given twice."""
     out: dict[str, TruthTable] = {}
-    name: str | None = None
-    arity = 0
-    rows: dict[Value, tuple[Value, ...]] = {}
-
-    def flush() -> None:
-        nonlocal name
-        if name is None:
-            return
+    for place, head, body in _blocks(path, "table"):
+        if len(head) != 3 or head[2] not in ("unary", "binary"):
+            raise CatalogFileError(f"{place}: bad table header")
+        name = head[1]
+        if name in out:
+            raise CatalogFileError(f"{place}: table {name!r} defined twice")
+        arity = 1 if head[2] == "unary" else 2
+        declared = fm.CONNECTIVES.get(name)
+        if declared is None:
+            raise CatalogFileError(f"{place}: table {name!r} is not a known connective")
+        if declared != arity:
+            raise CatalogFileError(
+                f"{place}: table {name!r} contradicts its declared arity {declared}"
+            )
+        rows: dict[Value, tuple[Value, ...]] = {}
+        for place, parts in body:
+            if len(parts) < 3 or parts[1] != ":":
+                raise CatalogFileError(f"{place}: unrecognised line")
+            try:
+                row = _VALUE_BY_SYMBOL[parts[0]]
+                cells = tuple(_VALUE_BY_SYMBOL[c] for c in parts[2:])
+            except KeyError as exc:
+                raise CatalogFileError(f"{place}: bad value") from exc
+            if len(cells) != (1 if arity == 1 else 3):
+                raise CatalogFileError(f"{place}: wrong row width")
+            if row in rows:
+                raise CatalogFileError(f"{place}: row {parts[0]!r} given twice")
+            rows[row] = cells
         if len(rows) != 3:
             raise CatalogFileError(f"table {name!r}: expected 3 rows")
         entries: dict[tuple[Value, ...], Value] = {}
@@ -246,46 +299,6 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
                 for col, v in zip(VALUES[::-1], cells):
                     entries[(row, col)] = v
         out[name] = TruthTable(name, arity, entries)
-        name = None
-        rows.clear()
-
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "table":
-            flush()
-            if len(parts) != 3 or parts[2] not in ("unary", "binary"):
-                raise CatalogFileError(f"{path.name}:{lineno}: bad table header")
-            name = parts[1]
-            if name in out:
-                raise CatalogFileError(f"{path.name}:{lineno}: table {name!r} defined twice")
-            arity = 1 if parts[2] == "unary" else 2
-            declared = fm.CONNECTIVES.get(name)
-            if declared is None:
-                raise CatalogFileError(
-                    f"{path.name}:{lineno}: table {name!r} is not a known connective"
-                )
-            if declared != arity:
-                raise CatalogFileError(
-                    f"{path.name}:{lineno}: table {name!r} contradicts its "
-                    f"declared arity {declared}"
-                )
-        elif name is not None and len(parts) >= 3 and parts[1] == ":":
-            try:
-                row = _VALUE_BY_SYMBOL[parts[0]]
-                cells = tuple(_VALUE_BY_SYMBOL[c] for c in parts[2:])
-            except KeyError as exc:
-                raise CatalogFileError(f"{path.name}:{lineno}: bad value") from exc
-            if len(cells) != (1 if arity == 1 else 3):
-                raise CatalogFileError(f"{path.name}:{lineno}: wrong row width")
-            if row in rows:
-                raise CatalogFileError(f"{path.name}:{lineno}: row {parts[0]!r} given twice")
-            rows[row] = cells
-        else:
-            raise CatalogFileError(f"{path.name}:{lineno}: unrecognised line")
-    flush()
     return out
 
 
@@ -293,13 +306,19 @@ def load_logics(path: Path) -> dict[str, LogicDef]:
     """Parse a logic catalog file (requires tables to be loadable); neither
     a logic nor a line of one may be given twice."""
     out: dict[str, LogicDef] = {}
-    name: str | None = None
-    fields: dict[str, tuple[str, ...]] = {}
-
-    def flush() -> None:
-        nonlocal name
-        if name is None:
-            return
+    for place, head, body in _blocks(path, "logic"):
+        if len(head) != 2:
+            raise CatalogFileError(f"{place}: bad logic header")
+        name = head[1]
+        if name in out:
+            raise CatalogFileError(f"{place}: logic {name!r} defined twice")
+        fields: dict[str, tuple[str, ...]] = {}
+        for place, parts in body:
+            if parts[0] not in ("designated", "connectives"):
+                raise CatalogFileError(f"{place}: unrecognised line")
+            if parts[0] in fields:
+                raise CatalogFileError(f"{place}: {parts[0]!r} given twice")
+            fields[parts[0]] = tuple(parts[1:])
         missing = {"designated", "connectives"} - set(fields)
         if missing:
             raise CatalogFileError(f"logic {name!r}: missing {sorted(missing)}")
@@ -307,28 +326,6 @@ def load_logics(path: Path) -> dict[str, LogicDef]:
         out[name] = LogicDef(
             name=name, connectives=fields["connectives"], designated=designated
         )
-        name = None
-        fields.clear()
-
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "logic":
-            flush()
-            if len(parts) != 2:
-                raise CatalogFileError(f"{path.name}:{lineno}: bad logic header")
-            name = parts[1]
-            if name in out:
-                raise CatalogFileError(f"{path.name}:{lineno}: logic {name!r} defined twice")
-        elif name is not None and parts[0] in ("designated", "connectives"):
-            if parts[0] in fields:
-                raise CatalogFileError(f"{path.name}:{lineno}: {parts[0]!r} given twice")
-            fields[parts[0]] = tuple(parts[1:])
-        else:
-            raise CatalogFileError(f"{path.name}:{lineno}: unrecognised line")
-    flush()
     return out
 
 
@@ -372,13 +369,33 @@ def evaluate(logic: LogicDef, assignment: Mapping[str, Value], f: Formula) -> Va
         except KeyError:
             raise EvaluationError(f"assignment misses atom {f.name!r}") from None
     if isinstance(f, Constant):
-        if not logic.constants_enabled:
-            raise EvaluationError(
-                f"constants are not enabled in logic {logic.name}"
-            )
-        return _CONSTANT_VALUE[f.kind]
+        return logic.constant(f.kind)
     table = logic.table(f.connective)
     args = f.args
     if len(args) == 1:
         return table(evaluate(logic, assignment, args[0]))
     return table(evaluate(logic, assignment, args[0]), evaluate(logic, assignment, args[1]))
+
+
+def check_formulas(logic: LogicDef, formulas: Iterable[Formula]) -> set[str]:
+    """The names of the atoms in ``formulas``, once each formula is known
+    to be one ``logic`` can evaluate: its connectives are in the signature,
+    and it holds constants only if the logic enables them.  Otherwise
+    raises ``EvaluationError``, with ``evaluate``'s message, at the first
+    offender in the order ``evaluate`` meets it: formula by formula, each
+    formula before its arguments, arguments left to right."""
+    signature = logic.signature
+    names: set[str] = set()
+    todo = list(formulas)
+    todo.reverse()
+    while todo:
+        f = todo.pop()
+        if f.__class__ is Compound:
+            if f[1] not in signature:
+                logic.table(f[1])  # raises EvaluationError
+            todo.extend(f[:1:-1])  # the arguments, last first
+        elif f.__class__ is Atom:
+            names.add(f[1])  # its name
+        else:
+            logic.constant(f[1])  # raises unless constants are enabled
+    return names

@@ -46,8 +46,8 @@ from .bisequent import (
     render_bisequent,
 )
 from .calculus import Catalog, apply_rule, catalog
-from .formula import Atom, Compound, Constant, Formula
-from .logics import EvaluationError, LogicDef, Value
+from .formula import Atom, Compound, Formula
+from .logics import LogicDef, Value, check_formulas
 from .record import Record, _set
 
 __all__ = [
@@ -158,34 +158,24 @@ SearchResult = Union[Proved, Refuted]
 # ---------------------------------------------------------------------------
 # Search
 
-def _select_occurrence(
-    cat: Catalog, b: Bisequent, strategy: str
-) -> tuple[str, int, object] | None:
+def _select_occurrence(cat: Catalog, b: Bisequent) -> tuple[str, int, object] | None:
     """The decomposable occurrence with the fewest premisses, ties broken
-    in scan order: the first one whose rule has a single premiss (an
-    α-rule), else the first among those whose rule has the fewest.  A
-    decomposable occurrence is a compound whose connective has a rule
-    with premisses at its slot; a compound whose rule there has none (an
-    axiom) stays put, it makes the bisequent axiomatic.  ``strategy``
-    sets the scan: "leftmost" reads the slots ant1, suc1, ant2, suc2 and
-    each slot front to back, "rightmost" the reverse.  A pair the catalog
-    has answered before is read from its cache without a call.
+    in scan order (the slots ant1, suc1, ant2, suc2, each front to back):
+    the first one whose rule has a single premiss (an α-rule), else the
+    first among those whose rule has the fewest.  A decomposable
+    occurrence is a compound that the catalog maps, with its slot, to a
+    rule; a compound whose rule there has no premisses (an axiom) stays
+    put, it makes the bisequent axiomatic.
 
     Applying α-rules before branching (β-) rules keeps a branching step
     from copying the pending one-premiss steps into each of its branches.
     Every rule is invertible, so the order cannot change a verdict."""
-    rules = cat._rules
     best = None
     fewest = 0
-    for slot in _SCAN_SLOTS[strategy]:
-        fs = getattr(b, slot)
-        for i in range(len(fs)) if strategy == "leftmost" else range(len(fs) - 1, -1, -1):
-            f = fs[i]
+    for slot in SLOTS:
+        for i, f in enumerate(getattr(b, slot)):
             if f.__class__ is Compound:
-                key = f[1], slot  # its connective, and the slot
-                rule = rules.get(key, _UNSEEN)
-                if rule is _UNSEEN:
-                    rule = cat.rule_for(*key)
+                rule = cat[f[1], slot]  # by its connective, and the slot
                 if rule is None:
                     continue
                 n = len(rule.premisses)
@@ -194,12 +184,6 @@ def _select_occurrence(
                 if best is None or n < fewest:
                     best, fewest = (slot, i, rule), n
     return best
-
-
-#: the slots in each strategy's scan order
-_SCAN_SLOTS = {"leftmost": SLOTS, "rightmost": SLOTS[::-1]}
-#: marks a (connective, slot) pair that the catalog has not looked up yet
-_UNSEEN = object()
 
 
 def complete_search(
@@ -219,42 +203,31 @@ def complete_search(
     reach the search by name, the benchmark's tracing wrapper among them,
     keep working.
 
+    The search runs one way.  ``strategy`` and ``use_memo`` keep their
+    names and places only because that wrapper passes all five arguments
+    by position.  Each accepts only its default, "leftmost" and True, and
+    any other value raises ``ValueError``: every rule is invertible and
+    has the subformula property, so neither the scan order nor the sharing
+    of equal subtrees can change a verdict.
+
     Identical sub-bisequents share one subtree (multiset equality), which
     cannot change the verdict because the rules are context independent.
     A caller running many searches in one logic may pass a shared ``memo``
     dictionary to keep the sharing across calls.  Raises
     ``EvaluationError``, as the oracle does and with its message, when
     ``b`` holds a connective outside the logic's signature, or a constant
-    and the logic does not enable constants.  One walk over ``b`` checks
+    and the logic does not enable constants.  ``check_formulas`` checks
     both before the search starts: otherwise a clashing root would be
     proved, and a leaf holding a connective without rules would not be
     atomic.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    _reject_undeclared(logic, b)
-    if memo is None:
-        memo = {}
-    return _search(logic, catalog(logic), strategy, memo if use_memo else None, b)
-
-
-def _reject_undeclared(logic: LogicDef, b: Bisequent) -> None:
-    """Raise ``EvaluationError``, with the oracle's message, at the first
-    connective outside the logic or constant the logic does not enable,
-    in the order the oracle evaluates: slot by slot, each formula before
-    its arguments, arguments left to right."""
-    signature = logic.signature
-    constants = logic.constants_enabled
-    todo = [*b.ant1, *b.suc1, *b.ant2, *b.suc2]
-    todo.reverse()
-    while todo:
-        f = todo.pop()
-        if f.__class__ is Compound:
-            if f[1] not in signature:
-                logic.table(f[1])  # raises EvaluationError
-            todo.extend(f[:1:-1])  # the arguments, last first
-        elif f.__class__ is Constant and not constants:
-            raise EvaluationError(f"constants are not enabled in logic {logic.name}")
+    if strategy != "leftmost" or use_memo is not True:
+        raise ValueError(
+            f"the search scans leftmost and memoises, not strategy={strategy!r}"
+            f" with use_memo={use_memo!r}"
+        )
+    check_formulas(logic, (*b.ant1, *b.suc1, *b.ant2, *b.suc2))
+    return _search(logic, catalog(logic), {} if memo is None else memo, b)
 
 
 def _last_leaf(tree: ProofTree) -> ProofTree:
@@ -273,21 +246,17 @@ _OCCURRENCES: dict[tuple[str, int], tuple[str, int]] = {}
 
 
 def _search(
-    logic: LogicDef,
-    cat: Catalog,
-    strategy: str,
-    memo: dict[Bisequent, ProofTree] | None,
-    node: Bisequent,
+    logic: LogicDef, cat: Catalog, memo: dict[Bisequent, ProofTree], node: Bisequent
 ) -> ProofTree:
     # a module-level function rather than a closure over itself, so that no
     # reference cycle keeps the memo alive after the search returns
-    if memo is not None and (tree := memo.get(node)) is not None:
+    if (tree := memo.get(node)) is not None:
         return tree
     # nodes are built as ``tuple.__new__(ProofTree, fields)``, which is what
     # ``ProofTree(...)`` does, without the call to ``ProofTree.__new__``
     if is_axiomatic(logic, node):
         tree = _tuple_new(ProofTree, (node, None, None, "axiomatic"))
-    elif (picked := _select_occurrence(cat, node, strategy)) is None:
+    elif (picked := _select_occurrence(cat, node)) is None:
         tree = _tuple_new(ProofTree, (node, None, None, "open"))
     else:
         slot, index, rule = picked
@@ -295,14 +264,13 @@ def _search(
         occurrence = _OCCURRENCES.setdefault(occurrence, occurrence)
         fields = [node, rule.name, occurrence, None]
         for premiss in apply_rule(rule, node, occurrence):
-            child = _search(logic, cat, strategy, memo, premiss)
+            child = _search(logic, cat, memo, premiss)
             fields.append(child)
             if child[3] == "open":
                 break
         fields[3] = child[3]
         tree = _tuple_new(ProofTree, fields)
-    if memo is not None:
-        memo[node] = tree
+    memo[node] = tree
     return tree
 
 
@@ -348,7 +316,9 @@ def prove_bisequent(
     closes every branch, otherwise refuted with an assignment read off the
     first open leaf (atoms absent from that branch get u).  Raises
     ``EvaluationError`` as ``complete_search`` does, for a connective
-    outside the logic as well as for a constant it does not enable."""
+    outside the logic as well as for a constant it does not enable.
+    ``strategy``, kept with ``prove``'s for callers that pass it by
+    position, goes to ``complete_search``, which accepts only "leftmost"."""
     tree = complete_search(logic, root, strategy, memo=memo)
     if tree.leaf_status == "axiomatic":
         return Proved(tree)

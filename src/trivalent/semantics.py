@@ -9,9 +9,11 @@ value.  A connective's 1 and 0 masks are unions, over the cells of its
 truth table that give that value, of intersections of its arguments'
 masks; its u mask is what remains.  ``falsifying_assignments``,
 ``bisequent_valid`` and ``matrix_consequence`` all reduce to one such
-evaluation of ``(slot, formulas)`` pairs, which evaluates every formula:
-a constant in a logic without constants raises ``EvaluationError``
-whatever the other formulas evaluate to.
+evaluation of ``(slot, formulas)`` pairs.  Before it counts their atoms,
+``logics.check_formulas`` checks every formula, as the prover does: a
+connective outside the logic, or a constant in a logic without constants,
+raises ``EvaluationError`` whatever the other formulas evaluate to and
+however many atoms they hold.
 
 ``falsifying_assignments`` lists the mask's assignments without a Python
 step per assignment.  One ``bytes.translate`` of the mask's binary digits
@@ -35,8 +37,17 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bisequent import Bisequent
-from .formula import Atom, Constant, Formula, InputError, _atom_names_in
-from .logics import VALUES, LogicDef, Value, evaluate, slot_admits, tables
+from .formula import Atom, Constant, Formula, InputError
+from .logics import (
+    _CONSTANT_VALUE,
+    VALUES,
+    LogicDef,
+    Value,
+    check_formulas,
+    evaluate,
+    slot_admits,
+    tables,
+)
 
 __all__ = [
     "DEFAULT_ATOM_CAP",
@@ -115,36 +126,32 @@ def _admitted(slot: str) -> tuple[int, ...]:
 
 
 def _masks(
-    logic: LogicDef,
     cells: Mapping[str, tuple[tuple[tuple[int, ...], ...], ...]],
     f: Formula,
     atom_masks: Mapping[str, tuple[int, ...]],
     full: int,
 ) -> tuple[int, ...]:
     """The assignments where ``f`` takes each value, indexed like ``VALUES``;
-    ``cells`` is ``_logic_cells(logic)``.  The 1 and 0 masks are unions,
-    over the table cells giving that value, of intersections of the
-    arguments' masks; the u mask is the rest of ``full``."""
+    ``cells`` is ``_logic_cells`` of a logic that ``check_formulas`` has
+    found can evaluate ``f``.  The 1 and 0 masks are unions, over the table
+    cells giving that value, of intersections of the arguments' masks; the
+    u mask is the rest of ``full``."""
     if f.__class__ is Atom:
         return atom_masks[f[1]]
     if f.__class__ is Constant:
-        v = evaluate(logic, {}, f)  # rejects constants the logic lacks
+        v = _CONSTANT_VALUE[f[1]]
         return tuple(full if w is v else 0 for w in VALUES)
-    try:
-        one_cells, zero_cells = cells[f[1]]
-    except KeyError:
-        logic.table(f[1])  # not in the signature: raises EvaluationError
-        raise
+    one_cells, zero_cells = cells[f[1]]
     one = zero = 0
     if len(f) == 3:  # unary: ("2comp", connective, arg)
-        x = _masks(logic, cells, f[2], atom_masks, full)
+        x = _masks(cells, f[2], atom_masks, full)
         for (i,) in one_cells:
             one |= x[i]
         for (i,) in zero_cells:
             zero |= x[i]
     else:
-        x = _masks(logic, cells, f[2], atom_masks, full)
-        y = _masks(logic, cells, f[3], atom_masks, full)
+        x = _masks(cells, f[2], atom_masks, full)
+        y = _masks(cells, f[3], atom_masks, full)
         for i, j in one_cells:
             one |= x[i] & y[j]
         for i, j in zero_cells:
@@ -160,7 +167,8 @@ def _falsifying_mask(
     """The sorted atom names and the mask of the assignments over them that
     give every formula of each ``(slot, formulas)`` pair a value its slot
     admits."""
-    names = _atom_names(_atom_names_in([f for _, fs in slots for f in fs]), max_atoms)
+    formulas = [f for _, fs in slots for f in fs]
+    names = _atom_names(check_formulas(logic, formulas), max_atoms)
     run = 3 ** len(names)
     full = (1 << run) - 1
     # atom k takes each value on runs of 3^(n-1-k) consecutive assignments;
@@ -177,7 +185,7 @@ def _falsifying_mask(
     for slot, fs in slots:
         admits = _admitted(slot)
         for f in fs:
-            masks = _masks(logic, cells, f, atom_masks, full)
+            masks = _masks(cells, f, atom_masks, full)
             admitted = 0
             for k in admits:
                 admitted |= masks[k]

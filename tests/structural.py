@@ -52,7 +52,7 @@ def _complete(logic, cat, memo, node: Bisequent) -> ProofTree:
         return tree
     if is_axiomatic(logic, node):
         tree = ProofTree(node, None, None, (), "axiomatic")
-    elif (picked := _select_occurrence(cat, node, "leftmost")) is None:
+    elif (picked := _select_occurrence(cat, node)) is None:
         tree = ProofTree(node, None, None, (), "open")
     else:
         slot, index, rule = picked

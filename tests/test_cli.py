@@ -189,6 +189,20 @@ class TestProve:
                           "p & q", "p | q")
         assert code == 0
 
+    def test_max_atoms_cannot_be_negative(self, capsys):
+        for argv in (
+            ("check-semantic", "", "p | ~p"),
+            ("countermodel", "", "p | ~p"),
+            ("interpolate", "p & q", "p | q"),
+        ):
+            code, out, err = call(capsys, argv[0], "--logic", "K3", "--max-atoms", "-1",
+                                  *argv[1:])
+            assert (code, out) == (2, ""), argv
+            assert "argument --max-atoms: invalid count value: '-1'" in err
+        code, _, err = call(capsys, "check-semantic", "--logic", "K3", "--max-atoms", "0",
+                            "", "p | ~p")
+        assert code == 2 and "1 atoms exceed the exhaustive-search cap of 0" in err
+
     def test_constants_flag(self, capsys):
         code, _, _ = call(capsys, "prove", "--logic", "K3", "--constants", "", "T")
         assert code == 0
@@ -207,6 +221,12 @@ class TestCheckSemantic:
             code_p, _, _ = call(capsys, "prove", "--logic", "K3", *goal)
             code_c, _, _ = call(capsys, "check-semantic", "--logic", "K3", *goal)
             assert code_p == code_c == expected
+
+    def test_undeclared_constant_is_reported_before_the_atoms_are_counted(self, capsys):
+        premisses = ", ".join(f"p{i}" for i in range(13))
+        code, out, err = call(capsys, "check-semantic", "--logic", "K3", premisses, "U")
+        assert (code, out) == (2, "")
+        assert err == "error: constants are not enabled in logic K3\n"
 
     def test_undeclared_constant_exits_two_whatever_the_premisses(self, capsys):
         # the premiss is never designated in K3, so only the constant is wrong

@@ -90,6 +90,42 @@ def test_a_catalog_file_gives_each_entry_once(tmp_path, load, text, lineno, mess
         load(path)
 
 
+@pytest.mark.parametrize(
+    "load, text, message",
+    (
+        (load_tables, "table neg\n", "catalog.txt:1: bad table header"),
+        (load_tables, "table neg ternary\n", "catalog.txt:1: bad table header"),
+        (load_logics, "logic K9 extra\n", "catalog.txt:1: bad logic header"),
+        (load_tables, "# c\n  1 : 0\n", "catalog.txt:2: unrecognised line"),
+        (load_logics, "\n  designated 1\n", "catalog.txt:2: unrecognised line"),
+        (load_tables, "table neg unary\n  1 0\n", "catalog.txt:2: unrecognised line"),
+        (load_logics, "logic K9\n  designate 1\n", "catalog.txt:2: unrecognised line"),
+        (load_tables, "table neg unary\n  1 : x\n", "catalog.txt:2: bad value"),
+        (load_tables, "table neg unary\n  2 : 0\n", "catalog.txt:2: bad value"),
+        (load_tables, "table neg unary\n  1 : 0 1\n", "catalog.txt:2: wrong row width"),
+        (load_tables, "table and binary\n  1 : 1 u\n", "catalog.txt:2: wrong row width"),
+        (load_tables, "table neg unary\n  1 : 0\n  u : u\n\ntable and binary\n",
+         "table 'neg': expected 3 rows"),
+        (load_logics, "logic K9\n  connectives neg\nlogic K8\n",
+         "logic 'K9': missing ['designated']"),
+        (load_logics, "logic K9\n", "logic 'K9': missing ['connectives', 'designated']"),
+        (load_tables, _NEG + "# again\n" + _NEG, "catalog.txt:6: table 'neg' defined twice"),
+        (load_tables, "table neg unary\n  1 : 0\n  u : u\n  1 : 1\n",
+         "catalog.txt:4: row '1' given twice"),
+        (load_logics, _K9 + _K9, "catalog.txt:4: logic 'K9' defined twice"),
+        (load_logics, _K9 + "  designated 1 u\n", "catalog.txt:4: 'designated' given twice"),
+        (load_logics, _K9 + "  connectives or\n", "catalog.txt:4: 'connectives' given twice"),
+    ),
+)
+def test_catalog_file_errors_are_golden(tmp_path, load, text, message):
+    """Every error either loader reports, with its exact message and line."""
+    path = tmp_path / "catalog.txt"
+    path.write_text(text)
+    with pytest.raises(CatalogFileError) as exc:
+        load(path)
+    assert str(exc.value) == message
+
+
 def test_values_survive_copy_and_pickle():
     """Values hash by identity, so a copied or unpickled assignment must
     hold the same members: table lookups and ``falsifies`` still work."""

@@ -153,9 +153,34 @@ class TestCompleteSearch:
         b = bp("=> p & p | p & p =>")
         tree = complete_search(K3, b)
         assert tree.children[0] is not None
-        plain = complete_search(K3, b, use_memo=False)
+        plain = complete_search(K3, b, memo=_Forgetful())
         assert is_proof(tree) == is_proof(plain)
         assert [l.node for l in tree.leaves()] == [l.node for l in plain.leaves()]
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so that no subtree is shared."""
+
+    def __setitem__(self, node, tree):
+        pass
+
+
+class TestOneConfiguration:
+    @pytest.mark.parametrize(
+        "options", ({"strategy": "rightmost"}, {"use_memo": False}, {"strategy": "x"}))
+    def test_complete_search_rejects_a_second_configuration(self, options):
+        with pytest.raises(ValueError, match="the search scans leftmost and memoises"):
+            complete_search(K3, bp("p & q => p | =>"), **options)
+
+    def test_prove_rejects_a_second_strategy(self):
+        with pytest.raises(ValueError, match="strategy='rightmost'"):
+            prove(K3, "designated_1", (K3.parse("p"),), K3.parse("p"), "rightmost")
+
+    def test_the_defaults_by_position_fill_the_memo(self):
+        b = bp("p | q => p, q | =>")
+        memo: dict = {}
+        tree = complete_search(K3, b, "leftmost", True, memo)
+        assert memo[b] is tree and len(memo) == 3
 
 
 class TestProofTreeLayout:
@@ -562,8 +587,21 @@ def test_prover_agrees_with_matrix_oracle(name):
     check()
 
 
+def _rightmost_pick(cat, b):
+    """The prover's pick with the scan reversed: the slots suc2, ant2,
+    suc1, ant1, each back to front."""
+    found = [
+        (slot, index, rule)
+        for slot, index, f in reversed(list(b.formulas()))
+        if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot))
+    ]
+    return min(found, key=lambda picked: len(picked[2].premisses), default=None)
+
+
 @pytest.mark.parametrize("name", ("K3", "L3", "P1", "Palasinska1"))
-def test_rule_order_cannot_change_the_verdict(name):
+def test_rule_order_cannot_change_the_verdict(name, monkeypatch):
+    import trivalent.prover as prover_module
+
     logic = lookup_logic(name)
 
     @given(
@@ -573,8 +611,10 @@ def test_rule_order_cannot_change_the_verdict(name):
     @settings(max_examples=40)
     def check(f, g):
         b = bisequent(ant1=(f,), suc1=(g,), ant2=(g,))
-        left = complete_search(logic, b, strategy="leftmost")
-        right = complete_search(logic, b, strategy="rightmost")
+        left = complete_search(logic, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(prover_module, "_select_occurrence", _rightmost_pick)
+            right = complete_search(logic, b)
         assert is_proof(left) == is_proof(right)
 
     check()
@@ -611,15 +651,14 @@ class TestSelectionOrder:
         def check(ant1, suc1, ant2, suc2):
             b = bisequent(ant1, suc1, ant2, suc2)
             found = _decomposable(cat, b)
-            for strategy, scan in (("leftmost", found), ("rightmost", found[::-1])):
-                picked = _select_occurrence(cat, b, strategy)
-                if not found:
-                    assert picked is None
-                    continue
-                fewest = min(n for _, _, n in found)
-                first = next((s, i) for s, i, n in scan if n == fewest)
-                assert picked[:2] == first
-                assert len(picked[2].premisses) == fewest
+            picked = _select_occurrence(cat, b)
+            if not found:
+                assert picked is None
+                return
+            fewest = min(n for _, _, n in found)
+            first = next((s, i) for s, i, n in found if n == fewest)
+            assert picked[:2] == first
+            assert len(picked[2].premisses) == fewest
 
         check()
 
@@ -629,7 +668,7 @@ class TestSelectionOrder:
         rule applications in total."""
         import trivalent.prover as prover_module
 
-        def leftmost_first(cat, b, strategy):
+        def leftmost_first(cat, b):
             for slot, index, f in b.formulas():
                 if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot)):
                     return slot, index, rule

@@ -278,6 +278,18 @@ class TestUndeclaredConstants:
         with pytest.raises(EvaluationError, match="constants are not enabled"):
             falsifying_assignments(K3, b)
 
+    @pytest.mark.parametrize(
+        "conclusion, message",
+        ((Constant("undef"), "constants are not enabled in logic K3"),
+         (Compound("impl_l", (Atom("p"), Atom("q"))), "connective 'impl_l' is not in logic K3")),
+    )
+    def test_checked_before_the_atoms_are_counted(self, conclusion, message):
+        # thirteen atoms exceed the default cap
+        premisses = [Atom(f"p{i}") for i in range(13)]
+        with pytest.raises(EvaluationError) as exc:
+            matrix_consequence(K3, premisses, conclusion)
+        assert str(exc.value) == message
+
     def test_enabled_constants_are_evaluated(self):
         k3c = K3.with_constants()
         b = bisequent(ant1=(K3.parse("p & ~p"),), suc1=(Constant("top"),))
