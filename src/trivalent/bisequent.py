@@ -18,13 +18,15 @@ the key is computed from the slots whenever two bisequents with equal
 hashes are compared.  The hash is a sum of one term per formula
 occurrence, the formula's hash times its slot's weight, modulo the
 Mersenne prime 2**61 - 1, so it ignores order within a slot and counts
-duplicates.  A bisequent built from formulas (``bisequent()``,
-``Bisequent(...)``, the parser) takes any iterable per slot, stores it
-as a tuple, checks that it holds formulas and sums its hash; a premiss
-(``Bisequent.derive``) skips all three, and ``calculus.apply_rule``
-hands it its parent's tuple for every slot the rule leaves alone and
-its parent's hash with the principal's term taken out and the placed
-arguments' terms added.
+duplicates.  This module is the only one that knows that layout.  A
+bisequent built from formulas (``bisequent()``, ``Bisequent(...)``, the
+parser) takes any iterable per slot, stores it as a tuple, checks that
+it holds formulas and sums its hash.  A rule's premisses come from
+``Bisequent.premisses``, which ``calculus.apply_rule`` calls once it has
+checked the occurrence: each premiss keeps its parent's tuple in every
+slot the rule leaves alone, and its hash is its parent's with the
+principal's term taken out and the placed arguments' terms added, so no
+context formula is checked or hashed again.
 
 A proof goal ``premisses |- conclusion`` becomes its root bisequent here
 too (``goal_bisequent``), placed by ``logics.GOAL_SLOTS``, so that the
@@ -32,7 +34,7 @@ command line can build a goal without importing the prover.
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator
 
 from .formula import (
     Atom,
@@ -67,10 +69,10 @@ __all__ = [
 
 #: the modulus of a bisequent's multiset hash: the Mersenne prime by
 #: which CPython reduces an int's hash, so the stored hash is its own hash
-HASH_MODULUS = (1 << 61) - 1
+_HASH_MODULUS = (1 << 61) - 1
 #: each slot's weight in the multiset hash, in slot order: a formula
 #: occurrence adds its own hash times its slot's weight
-HASH_WEIGHTS = (0x0F1BBCDCBFA53E0B, 0x1B873593A3C6EF35, 0x0D2A98B1C0E6F4A5, 0x165667B19E3779F9)
+_HASH_WEIGHTS = (0x0F1BBCDCBFA53E0B, 0x1B873593A3C6EF35, 0x0D2A98B1C0E6F4A5, 0x165667B19E3779F9)
 
 
 class Bisequent(Record):
@@ -90,7 +92,7 @@ class Bisequent(Record):
         suc2: Iterable[Formula] = (),
     ) -> None:
         h = 0
-        for name, weight, fs in zip(SLOTS, HASH_WEIGHTS, (ant1, suc1, ant2, suc2)):
+        for name, weight, fs in zip(SLOTS, _HASH_WEIGHTS, (ant1, suc1, ant2, suc2)):
             fs = tuple(fs)  # a list would be shared, and extended, by the premisses
             # a formula is a tuple too, so a bare formula given as a slot
             # would otherwise pass for a slot holding its tag and fields
@@ -98,7 +100,7 @@ class Bisequent(Record):
                 raise TypeError("a bisequent slot must be a sequence of formulas")
             _set(self, name, fs)
             h += sum(map(hash, fs)) * weight
-        _set(self, "_hash", h % HASH_MODULUS)
+        _set(self, "_hash", h % _HASH_MODULUS)
 
     @property
     def _key(self) -> tuple[tuple[Formula, ...], ...]:
@@ -128,19 +130,35 @@ class Bisequent(Record):
     def slots(self) -> dict[str, tuple[Formula, ...]]:
         return {s: getattr(self, s) for s in SLOTS}
 
-    def derive(self, formulas: Sequence[tuple], hash_value: int) -> "Bisequent":
-        """A premiss from four formula tuples in slot order and its
-        multiset hash, both unchecked: ``hash_value`` must be the one
-        ``Bisequent(*formulas)`` would sum, which ``calculus.apply_rule``
-        gets from the parent's hash."""
-        ant1, suc1, ant2, suc2 = formulas
-        b = object.__new__(Bisequent)
-        _set_ant1(b, ant1)
-        _set_suc1(b, suc1)
-        _set_ant2(b, ant2)
-        _set_suc2(b, suc2)
-        _set_hash(b, hash_value)
-        return b
+    def premisses(self, k: int, index: int, schemata: Iterable) -> list["Bisequent"]:
+        """A rule's premisses, one per ``calculus.PremissSchema``, built
+        unchecked for the compound at ``index`` of slot number ``k``: that
+        occurrence is removed, and each of the schema's ``moves``, a (slot
+        number, argument index) pair, appends that argument to that slot.
+        A premiss shares this bisequent's tuple in every slot it leaves
+        alone.  Its hash is this one's, less the principal's term and plus
+        one term per placed argument."""
+        formulas = [self.ant1, self.suc1, self.ant2, self.suc2]
+        fs = formulas[k]
+        principal = fs[index]
+        formulas[k] = fs[:index] + fs[index + 1 :]
+        h = self._hash - hash(principal) * _HASH_WEIGHTS[k]
+        out = []
+        for schema in schemata:
+            pf = formulas.copy()
+            ph = h
+            for k, a in schema.moves:
+                arg = principal[a + 2]  # argument a of (tag, connective, *args)
+                pf[k] += (arg,)
+                ph += hash(arg) * _HASH_WEIGHTS[k]
+            b = object.__new__(Bisequent)
+            _set_ant1(b, pf[0])
+            _set_suc1(b, pf[1])
+            _set_ant2(b, pf[2])
+            _set_suc2(b, pf[3])
+            _set_hash(b, ph % _HASH_MODULUS)
+            out.append(b)
+        return out
 
     def formulas(self) -> Iterator[tuple[str, int, Formula]]:
         for s in SLOTS:
@@ -148,8 +166,8 @@ class Bisequent(Record):
                 yield s, i, f
 
 
-#: each slot's own setter and the hash's, which ``derive`` calls without
-#: a name lookup
+#: each slot's own setter and the hash's, which ``premisses`` calls
+#: without a name lookup
 _set_ant1, _set_suc1, _set_ant2, _set_suc2, _set_hash = (
     Bisequent.__dict__[s].__set__ for s in Bisequent.__slots__
 )

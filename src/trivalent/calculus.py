@@ -4,7 +4,10 @@ rule application and verification.
 A rule is identified by its principal slot and a list of premisses; a
 premiss is a multiset of placements sending immediate subformulas of the
 principal formula into slots.  Contexts are always copied unchanged, so a
-rule is fully described by this data.
+rule is fully described by this data.  ``apply_rule`` checks that an
+occurrence fits a rule and leaves building the premisses to
+``Bisequent.premisses``, so only ``bisequent`` knows how a node stores
+its slots and its hash.
 
 Verification reduces to a finite check: under falsification each slot
 pins its formulas to a set of values (ant1: 1, suc1: not 1, ant2: not 0,
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .bisequent import HASH_MODULUS, HASH_WEIGHTS, Bisequent
+from .bisequent import Bisequent
 from .formula import CONNECTIVES, Compound, InputError
 from .logics import (
     SLOTS,
@@ -142,10 +145,6 @@ class Catalog(dict):
         self[key] = rule
         return rule
 
-    def rule_for(self, connective: str, slot: str) -> RuleSchema | None:
-        """``self[connective, slot]``."""
-        return self[connective, slot]
-
     @property
     def rules(self) -> tuple[RuleSchema, ...]:
         """Every connective's rule at every slot: the rules with premisses
@@ -180,12 +179,12 @@ def apply_rule(
 ) -> list[Bisequent]:
     """One premiss bisequent per premiss schema: the principal occurrence
     is removed, each placement appends its immediate subformula to its
-    slot in placement order, contexts are copied unchanged.  Each premiss
-    is built unchecked by ``Bisequent.derive`` and keeps the parent's own
-    tuple in every slot the premiss does not change.  Its multiset hash
-    is the parent's, less the principal's term and plus one term per
-    placement (the argument's hash times its slot's weight), so no
-    formula of the context is hashed again."""
+    slot in placement order, contexts are copied unchanged.  The
+    occurrence is checked here: its slot must be the rule's principal
+    slot and a known one, and it must hold a compound of the rule's
+    connective.  ``Bisequent.premisses`` then builds the premisses: each
+    shares its parent's tuple in every slot it leaves alone, and its
+    multiset hash is computed from its parent's."""
     slot, index = occurrence
     if slot != rule.principal_slot:
         raise OccurrenceError(
@@ -195,8 +194,7 @@ def apply_rule(
     k = _SLOT_INDEX.get(slot)
     if k is None:
         raise ValueError(f"unknown slot {slot!r}")
-    formulas = [b.ant1, b.suc1, b.ant2, b.suc2]
-    fs = formulas[k]
+    fs = getattr(b, slot)
     if not 0 <= index < len(fs):
         raise OccurrenceError(f"no formula at {slot}[{index}]")
     principal = fs[index]
@@ -204,20 +202,7 @@ def apply_rule(
         raise OccurrenceError(
             f"formula at {slot}[{index}] is not a {rule.connective!r} compound"
         )
-    args = principal.args
-    formulas[k] = fs[:index] + fs[index + 1 :]
-    h = b._hash - hash(principal) * HASH_WEIGHTS[k]
-    derive = b.derive
-    out = []
-    for premiss in rule.premisses:
-        pf = formulas.copy()
-        ph = h
-        for k, a in premiss.moves:
-            arg = args[a]
-            pf[k] += (arg,)
-            ph += hash(arg) * HASH_WEIGHTS[k]
-        out.append(derive(pf, ph % HASH_MODULUS))
-    return out
+    return b.premisses(k, index, rule.premisses)
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,9 @@ def load_tables(path: Path) -> dict[str, TruthTable]:
 
 def load_logics(path: Path) -> dict[str, LogicDef]:
     """Parse a logic catalog file (requires tables to be loadable); neither
-    a logic nor a line of one may be given twice."""
+    a logic nor a line of one may be given twice.  A bad designated set
+    and a connective without a table are reported at the logic's header
+    line."""
     out: dict[str, LogicDef] = {}
     for place, head, body in _blocks(path, "logic"):
         if len(head) != 2:
@@ -313,19 +315,23 @@ def load_logics(path: Path) -> dict[str, LogicDef]:
         if name in out:
             raise CatalogFileError(f"{place}: logic {name!r} defined twice")
         fields: dict[str, tuple[str, ...]] = {}
-        for place, parts in body:
+        for line, parts in body:
             if parts[0] not in ("designated", "connectives"):
-                raise CatalogFileError(f"{place}: unrecognised line")
+                raise CatalogFileError(f"{line}: unrecognised line")
             if parts[0] in fields:
-                raise CatalogFileError(f"{place}: {parts[0]!r} given twice")
+                raise CatalogFileError(f"{line}: {parts[0]!r} given twice")
             fields[parts[0]] = tuple(parts[1:])
         missing = {"designated", "connectives"} - set(fields)
         if missing:
             raise CatalogFileError(f"logic {name!r}: missing {sorted(missing)}")
-        designated = frozenset(_VALUE_BY_SYMBOL[s] for s in fields["designated"])
-        out[name] = LogicDef(
-            name=name, connectives=fields["connectives"], designated=designated
-        )
+        # an unknown value leaves None in the set, which LogicDef rejects
+        designated = frozenset(map(_VALUE_BY_SYMBOL.get, fields["designated"]))
+        try:
+            out[name] = LogicDef(
+                name=name, connectives=fields["connectives"], designated=designated
+            )
+        except CatalogFileError as exc:
+            raise CatalogFileError(f"{place}: {exc}") from None
     return out
 
 

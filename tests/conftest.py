@@ -95,26 +95,33 @@ class LogicSweep:
     formula_pool: list = field(default_factory=list)
 
 
-def run_sweep(
+def sweep_goals(
     logic, atom_names=("p", "q"), premiss_budget=1, conclusion_budget=2, solo_budget=3
-) -> LogicSweep:
-    """Decide every goal with an empty premiss set and conclusions of at
-    most ``solo_budget`` connectives, plus every single-premiss goal with
-    premisses of at most ``premiss_budget`` and conclusions of at most
-    ``conclusion_budget`` connectives, comparing the proof-search verdict
-    with the matrix oracle on each."""
-    data = LogicSweep(logic)
+) -> tuple[list, list]:
+    """The sweep's goals as (premisses, conclusion) pairs: every goal with
+    an empty premiss set and a conclusion of at most ``solo_budget``
+    connectives, then every single-premiss goal with a premiss of at most
+    ``premiss_budget`` and a conclusion of at most ``conclusion_budget``
+    connectives.  Also the pool of those conclusions, smallest first."""
     budget = max(premiss_budget, conclusion_budget, solo_budget)
     by_count: dict[int, list] = {}
     for f in iter_formulas(logic.signature, atom_names, budget):
         by_count.setdefault(complexity(f), []).append(f)
     of_size = lambda n: [f for k in range(n + 1) for f in by_count.get(k, ())]
-    mode = designated_mode(logic)
     goals = [((), f) for f in of_size(solo_budget)]
     goals += [
         ((g,), f) for g in of_size(premiss_budget) for f in of_size(conclusion_budget)
     ]
-    data.formula_pool = of_size(conclusion_budget)
+    return goals, of_size(conclusion_budget)
+
+
+def run_sweep(logic, *args, **kwargs) -> LogicSweep:
+    """Decide every goal of ``sweep_goals(logic, *args, **kwargs)`` with
+    one shared memo, comparing the proof-search verdict with the matrix
+    oracle on each."""
+    data = LogicSweep(logic)
+    goals, data.formula_pool = sweep_goals(logic, *args, **kwargs)
+    mode = designated_mode(logic)
     for premisses, conclusion in goals:
         root = goal_bisequent(logic, mode, premisses, conclusion)
         result = prove_bisequent(logic, root, memo=data.memo)
@@ -127,6 +134,21 @@ def run_sweep(
         else:
             data.refuted.append((root, result.countermodel))
     return data
+
+
+class Sweeps(dict):
+    """Each logic's default ``run_sweep``, by logic name, run on the first
+    lookup and kept for the session."""
+
+    def __missing__(self, name: str) -> LogicSweep:
+        data = self[name] = run_sweep(lookup_logic(name))
+        return data
+
+
+@pytest.fixture(scope="session")
+def sweep() -> Sweeps:
+    """The default sweeps, shared by every test of the session."""
+    return Sweeps()
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Each test covers one release criterion and prints a one-line verdict, so
 ``pytest tests/test_acceptance.py -v -s`` doubles as the acceptance
-report.  The oracle-prover sweep is shared: criterion 3 computes it,
-criteria 5 and 8 reuse its proved pools and refutations.
+report.  The oracle-prover sweep is shared: conftest's session ``sweep``
+runs each logic's once, criterion 3 checks it, and criteria 5 and 8
+reuse its proved pools and refutations.
 """
 from __future__ import annotations
 
@@ -92,21 +93,17 @@ def test_criterion_2_rule_verification():
 # ---------------------------------------------------------------------------
 # Criterion 3: oracle-prover equivalence sweep (shared with 5 and 8)
 
-@pytest.fixture(scope="session")
-def sweep():
-    return {name: run_sweep(lookup_logic(name)) for name in ALL_LOGICS}
-
-
 def test_criterion_3_oracle_prover_equivalence(sweep):
     """Proof search and the matrix oracle decide every sweep goal alike."""
     goals = 0
-    for name, data in sweep.items():
+    for name in ALL_LOGICS:
+        data = sweep[name]
         assert not data.disagreements, (name, data.disagreements[:3])
         goals += data.n_goals
     _report(
         3,
         "oracle-prover equivalence",
-        f"{goals} goals over {{p,q}} across {len(sweep)} logics, 0 disagreements "
+        f"{goals} goals over {{p,q}} across {len(ALL_LOGICS)} logics, 0 disagreements "
         f"(every conclusion with <=3 connectives alone, every premiss with <=1 "
         f"against every conclusion with <=2)",
     )
@@ -157,7 +154,8 @@ def test_criterion_5_structural_admissibility(sweep):
     every rule instance, and both cut rules keep provability, checked by
     re-proof on bisequents sampled from the equivalence sweep."""
     weakenings = contractions = inversions = cuts = 0
-    for name, data in sweep.items():
+    for name in ALL_LOGICS:
+        data = sweep[name]
         logic = data.logic
         cat = catalog(logic)
         rng = random.Random(f"structural:{name}")
@@ -183,7 +181,7 @@ def test_criterion_5_structural_admissibility(sweep):
             for pslot, index, g in b.formulas():
                 if not isinstance(g, Compound):
                     continue
-                rule = cat.rule_for(g.connective, pslot)
+                rule = cat[g.connective, pslot]
                 if rule is None:
                     continue
                 for premiss in apply_rule(rule, b, (pslot, index)):
@@ -281,7 +279,8 @@ def test_criterion_8_countermodel_integrity(sweep):
     """Every refutation produced by the sweep carries an assignment that
     falsifies its root bisequent."""
     checked = 0
-    for name, data in sweep.items():
+    for name in ALL_LOGICS:
+        data = sweep[name]
         logic = data.logic
         for root, countermodel in data.refuted:
             assert falsifies(logic, countermodel, root), (name, root, countermodel)

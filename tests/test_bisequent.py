@@ -261,7 +261,7 @@ def test_a_premiss_shares_its_parents_tuples_in_untouched_slots():
     """An untouched slot of a premiss is the parent's insertion-order
     tuple, so it has the parent's sorted form too."""
     b = bp("p & q => r, s | ~t, t => u")
-    rule = catalog(K3).rule_for("and", "ant1")
+    rule = catalog(K3)["and", "ant1"]
     (premiss,) = apply_rule(rule, b, ("ant1", 0))
     for i, slot in enumerate(("suc1", "ant2", "suc2"), start=1):
         assert premiss.slot(slot) is b.slot(slot)

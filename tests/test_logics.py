@@ -115,6 +115,12 @@ def test_a_catalog_file_gives_each_entry_once(tmp_path, load, text, lineno, mess
         (load_logics, _K9 + _K9, "catalog.txt:4: logic 'K9' defined twice"),
         (load_logics, _K9 + "  designated 1 u\n", "catalog.txt:4: 'designated' given twice"),
         (load_logics, _K9 + "  connectives or\n", "catalog.txt:4: 'connectives' given twice"),
+        (load_logics, "logic K9\n  designated 2\n  connectives neg\n",
+         "catalog.txt:1: logic 'K9': designated set must be 1 or 1,u"),
+        (load_logics, "logic K9\n  designated 0\n  connectives neg\n",
+         "catalog.txt:1: logic 'K9': designated set must be 1 or 1,u"),
+        (load_logics, "logic K9\n  designated 1\n  connectives neg nope\n",
+         "catalog.txt:1: logic 'K9': no table for 'nope'"),
     ),
 )
 def test_catalog_file_errors_are_golden(tmp_path, load, text, message):

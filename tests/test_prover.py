@@ -18,7 +18,7 @@ from trivalent.calculus import (
     catalog,
     verify_rule_schema,
 )
-from trivalent.formula import Atom, Compound, complexity, iter_formulas
+from trivalent.formula import Atom, Compound, complexity
 from trivalent.interpolation import LeafAtoms
 from trivalent.logics import SLOTS, EvaluationError, Value, lookup_logic, tables
 from trivalent.prover import (
@@ -47,7 +47,7 @@ from conftest import (
     CORE_LOGICS,
     formulas,
     random_formula,
-    run_sweep,
+    sweep_goals,
     with_constants,
 )
 from structural import (
@@ -115,7 +115,7 @@ class TestCompleteSearch:
                 continue
             slot, index = node.occurrence
             f = node.node.slot(slot)[index]
-            rule = catalog(K3).rule_for(f.connective, slot)
+            rule = catalog(K3)[f.connective, slot]
             assert rule.name == node.rule
             premisses = apply_rule(rule, node.node, node.occurrence)
             assert [c.node for c in node.children] == premisses
@@ -141,7 +141,7 @@ class TestCompleteSearch:
                 if node.is_leaf:
                     continue
                 f = node.node.slot(node.occurrence[0])[node.occurrence[1]]
-                rule = cat.rule_for(f.connective, node.occurrence[0])
+                rule = cat[f.connective, node.occurrence[0]]
                 premisses = apply_rule(rule, node.node, node.occurrence)
                 assert [c.node for c in node.children] == premisses[:len(node.children)]
                 assert not any(_is_open(c) for c in node.children[:-1])
@@ -202,7 +202,7 @@ class TestProofTreeLayout:
     def test_children_are_the_premiss_subtrees_in_order(self):
         b = bp("p | q => p, q | =>")
         tree = complete_search(K3, b)
-        premisses = apply_rule(catalog(K3).rule_for("or", "ant1"), b, ("ant1", 0))
+        premisses = apply_rule(catalog(K3)["or", "ant1"], b, ("ant1", 0))
         assert len(premisses) == 2
         assert tree.children == (complete_search(K3, premisses[0]),
                                  complete_search(K3, premisses[1]))
@@ -238,15 +238,15 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
             assert twin == value and type(twin) is type(value)
     # the records: their fields, and whether they hash (a dict field does not)
     assert k3c.signature == frozenset(K3.connectives)  # fills the cache first
-    rule = catalog(K3).rule_for("or", "suc1")
+    rule = catalog(K3)["or", "suc1"]
     axiom = catalog(lookup_logic("Palasinska1")).rules[-1]
     assert not axiom.premisses
     # premisses carry a hash derived from their parent's, and a copy sums
     # its own from the four slots: one step moves s from ant1 to suc2
     root = bp("p & (q | r), ~s => s | ~~t => t, p")
-    (premiss,) = apply_rule(catalog(K3).rule_for("and", "ant1"), root, ("ant1", 0))
-    (moved,) = apply_rule(catalog(K3).rule_for("neg", "ant1"), premiss, ("ant1", 0))
-    split = apply_rule(catalog(K3).rule_for("or", "ant1"), moved, ("ant1", 1))
+    (premiss,) = apply_rule(catalog(K3)["and", "ant1"], root, ("ant1", 0))
+    (moved,) = apply_rule(catalog(K3)["neg", "ant1"], premiss, ("ant1", 0))
+    split = apply_rule(catalog(K3)["or", "ant1"], moved, ("ant1", 1))
     assert moved.suc2 == (*root.suc2, Atom("s")) and len(split) == 2
     records = [
         (K3, ("name", "connectives", "designated", "constants_enabled"), True),
@@ -283,8 +283,8 @@ def test_formulas_bisequents_and_results_survive_pickling_and_copying():
 
 
 def test_memo_costs_under_340_traced_bytes_per_entry():
-    """One memo per logic over ``run_sweep``'s goal shapes in K3 and L3,
-    with conclusions of up to 2 connectives: each entry keeps a bisequent
+    """One memo per logic over the sweep's goals in K3 and L3, with
+    conclusions of up to 2 connectives: each entry keeps a bisequent
     (its four slot tuples and its stored multiset hash, an int below
     2**61; the sorted key is computed only when equal hashes meet) and a
     flat proof node.  With the results dropped, the memos and their roots
@@ -292,12 +292,7 @@ def test_memo_costs_under_340_traced_bytes_per_entry():
     goals = []
     for name in ("K3", "L3"):
         logic = lookup_logic(name)
-        by_count: dict[int, list] = {}
-        for f in iter_formulas(logic.signature, ("p", "q"), 2):
-            by_count.setdefault(complexity(f), []).append(f)
-        upto = lambda n: [f for k in range(n + 1) for f in by_count.get(k, ())]
-        goals += [(logic, (), f) for f in upto(2)]
-        goals += [(logic, (g,), f) for g in upto(1) for f in upto(2)]
+        goals += [(logic, *goal) for goal in sweep_goals(logic, solo_budget=2)[0]]
         catalog(logic).rules  # synthesise the rules before tracing starts
     memos: dict = {}
     gc.collect()
@@ -368,9 +363,8 @@ def _assert_nodes_keep_their_verdict(nodes):
 
 
 @pytest.mark.parametrize("name", ("K3", "L3", "PWK"))
-def test_each_node_keeps_its_last_leafs_status_in_a_shared_memo(name):
-    logic = lookup_logic(name)
-    data = run_sweep(logic)
+def test_each_node_keeps_its_last_leafs_status_in_a_shared_memo(sweep, name):
+    data = sweep[name]
     assert data.proved and data.refuted and not data.disagreements
     _assert_nodes_keep_their_verdict(data.memo.values())
     for root in data.proved:
@@ -502,7 +496,7 @@ def test_caches_never_widen_a_logic(first):
         k3_rejects()
         g3_decides()
         k3_rejects()
-    assert catalog(g3).rule_for("neg_h", "suc1") is not None
+    assert catalog(g3)["neg_h", "suc1"] is not None
     wide = K3.extended(("neg_h",))
     verdicts = [prove(wide, "designated_1", *goal).proved for goal in goals]
     assert verdicts == [matrix_consequence(wide, *goal) for goal in goals] == [True, False]
@@ -593,7 +587,7 @@ def _rightmost_pick(cat, b):
     found = [
         (slot, index, rule)
         for slot, index, f in reversed(list(b.formulas()))
-        if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot))
+        if isinstance(f, Compound) and (rule := cat[f.connective, slot])
     ]
     return min(found, key=lambda picked: len(picked[2].premisses), default=None)
 
@@ -625,7 +619,7 @@ def _decomposable(cat, b):
     leftmost scan order."""
     out = []
     for slot, index, f in b.formulas():
-        if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot)):
+        if isinstance(f, Compound) and (rule := cat[f.connective, slot]):
             out.append((slot, index, len(rule.premisses)))
     return out
 
@@ -633,8 +627,8 @@ def _decomposable(cat, b):
 class TestSelectionOrder:
     def test_alpha_rule_goes_before_an_earlier_beta_rule(self):
         cat = catalog(K3)
-        assert len(cat.rule_for("or", "ant1").premisses) == 2
-        assert len(cat.rule_for("and", "ant1").premisses) == 1
+        assert len(cat["or", "ant1"].premisses) == 2
+        assert len(cat["and", "ant1"].premisses) == 1
         tree = complete_search(K3, bp("p | q, r & s => | =>"))
         assert tree.rule == "and.ant1" and tree.occurrence == ("ant1", 1)
         assert tree.children[0].rule == "or.ant1"
@@ -670,7 +664,7 @@ class TestSelectionOrder:
 
         def leftmost_first(cat, b):
             for slot, index, f in b.formulas():
-                if isinstance(f, Compound) and (rule := cat.rule_for(f.connective, slot)):
+                if isinstance(f, Compound) and (rule := cat[f.connective, slot]):
                     return slot, index, rule
             return None
 
@@ -822,7 +816,7 @@ class TestStructuralRules:
                 for slot, index, f in b.formulas():
                     if not isinstance(f, Compound):
                         continue
-                    rule = cat.rule_for(f.connective, slot)
+                    rule = cat[f.connective, slot]
                     if rule is None:
                         continue
                     for premiss in apply_rule(rule, b, (slot, index)):
@@ -841,22 +835,11 @@ class TestStructuralRules:
 
 @pytest.mark.parametrize("name", ("K3", "LP", "J3", "Palasinska1"))
 def test_prover_agrees_with_oracle_under_constants(name):
-    from trivalent.formula import CONNECTIVES, Constant
-
     logic = lookup_logic(name).with_constants()
-    sig = sorted(logic.signature)
     rng = random.Random(f"constants:{name}")
 
     def gen(n):
-        if n == 0:
-            if rng.random() < 0.3:
-                return Constant(rng.choice(("top", "bottom", "undef")))
-            return Atom(rng.choice(("p", "q")))
-        cid = rng.choice(sig)
-        if CONNECTIVES[cid] == 1:
-            return Compound(cid, (gen(n - 1),))
-        k = rng.randint(0, n - 1)
-        return Compound(cid, (gen(k), gen(n - 1 - k)))
+        return with_constants(rng, random_formula(rng, logic.signature, ("p", "q"), n))
 
     for _ in range(120):
         slots = {
@@ -884,7 +867,7 @@ def test_termination_measure_strictly_decreases():
     for _ in range(150):
         f = random_formula(rng, logic.signature, ("p", "q"), rng.randint(1, 4))
         slot = rng.choice(("ant1", "suc1", "ant2", "suc2"))
-        rule = cat.rule_for(f.connective, slot)
+        rule = cat[f.connective, slot]
         if rule is None:
             continue
         b = add(add(bisequent(), slot, f), "ant2", Atom("c"))
